@@ -16,13 +16,11 @@ import time
 
 from .arith import DEFAULT_PRIME_SEARCH_CAP
 from .construct import (
-    MCertificate,
-    PrimePairCertificate,
-    VerificationReport,
+    CERTIFICATE_KINDS,
     ClauseResult,
+    VerificationReport,
     construct_M,
     verify_certificate,
-    verify_prime_pair,
     with_checks,
 )
 from .errors import (
@@ -240,12 +238,14 @@ def cmd_verify(args) -> tuple[dict, str]:
     if "result" in data and isinstance(data["result"], dict):
         data = data["result"]
 
-    if data.get("kind") == "prime_pair_certificate" or "p" in data:
-        cert = PrimePairCertificate.from_json_dict(data)
-        report = verify_prime_pair(cert)
-    else:
-        cert = MCertificate.from_json_dict(data)
-        report = verify_certificate(cert)
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in CERTIFICATE_KINDS:
+        raise InvalidInputError(
+            f"unknown certificate kind {kind!r}; expected one of {sorted(CERTIFICATE_KINDS)}"
+        )
+    codec, verify = CERTIFICATE_KINDS[kind]
+    cert = codec.from_json_dict(data)
+    report = verify(cert)
     if cert.checks and cert.checks != report.as_pairs():
         report = VerificationReport(
             report.subject,

@@ -19,8 +19,9 @@ verify_certificate recomputes every claim from raw integers and trusts nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
+from typing import get_type_hints
 
 from .arith import (
     DEFAULT_PRIME_SEARCH_CAP,
@@ -125,9 +126,67 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+# Sign fields travel as JSON ints; every other integer as a decimal string.
+_SIGN_FIELDS = frozenset({"t", "s", "lambda_d", "lambda_m", "eps"})
+
+# field type -> (to JSON, from JSON); a dataclass-typed field (QuadForm,
+# GeneralizedSolution) travels as an object of its own fields
+_CODEC = {
+    int: (str, int),
+    tuple[int, ...]: (lambda v: [str(p) for p in v], lambda v: tuple(int(p) for p in v)),
+    tuple[tuple[str, bool], ...]: (
+        lambda v: [{"clause": n, "passed": ok} for n, ok in v],
+        lambda v: tuple((str(c["clause"]), bool(c["passed"])) for c in v),
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _wire_fields(cls) -> tuple[tuple[str, object, bool], ...]:
+    """(name, type, required) of each field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default is MISSING) for f in fields(cls))
+
+
+def _to_wire(value, typ, name: str = ""):
+    if name in _SIGN_FIELDS:
+        return value
+    if typ in _CODEC:
+        return _CODEC[typ][0](value)
+    return {n: _to_wire(getattr(value, n), t, n) for n, t, _ in _wire_fields(typ)}
+
+
+def _from_wire(data, typ):
+    if typ in _CODEC:
+        return _CODEC[typ][1](data)
+    return typ(**{
+        n: _from_wire(data[n], t)
+        for n, t, required in _wire_fields(typ)
+        if required or n in data
+    })
+
+
+class _Certificate:
+    """The JSON codec shared by both certificate kinds."""
+
+    kind = ""
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, **_to_wire(self, type(self))}
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        try:
+            return _from_wire(data, cls)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed certificate document: {exc}") from exc
+
+
 @dataclass(frozen=True)
-class MCertificate:
+class MCertificate(_Certificate):
     """Constructed data for one (d, t) instance; fields are never trusted."""
+
+    kind = "m_certificate"
 
     d: int
     d_primes: tuple[int, ...]
@@ -144,54 +203,17 @@ class MCertificate:
     pell_evidence: GeneralizedSolution
     checks: tuple[tuple[str, bool], ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "m_certificate",
-            "d": str(self.d),
-            "d_primes": [str(p) for p in self.d_primes],
-            "t": self.t,
-            "s": self.s,
-            "lambda_d": self.lambda_d,
-            "lambda_m": self.lambda_m,
-            "m_primes": [str(p) for p in self.m_primes],
-            "e1": str(self.e1),
-            "e2": str(self.e2),
-            "M": str(self.M),
-            "D": str(self.D),
-            "predicted_form": _form_to_json(self.predicted_form),
-            "pell_evidence": _solution_to_json(self.pell_evidence),
-            "checks": [{"clause": n, "passed": ok} for n, ok in self.checks],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MCertificate":
-        try:
-            return cls(
-                d=int(data["d"]),
-                d_primes=tuple(int(p) for p in data["d_primes"]),
-                t=int(data["t"]),
-                s=int(data["s"]),
-                lambda_d=int(data["lambda_d"]),
-                lambda_m=int(data["lambda_m"]),
-                m_primes=tuple(int(p) for p in data["m_primes"]),
-                e1=int(data["e1"]),
-                e2=int(data["e2"]),
-                M=int(data["M"]),
-                D=int(data["D"]),
-                predicted_form=_form_from_json(data["predicted_form"]),
-                pell_evidence=_solution_from_json(data["pell_evidence"]),
-                checks=tuple(
-                    (str(c["clause"]), bool(c["passed"]))
-                    for c in data.get("checks", [])
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed certificate document: {exc}") from exc
+    @property
+    def identity(self) -> tuple[GeneralizedSolution, tuple[int, ...]]:
+        """Evidence a x^2 - b y^2 = 1 and the primes of a*b = D."""
+        return self.pell_evidence, self.d_primes + self.m_primes + (self.e1, self.e2)
 
 
 @dataclass(frozen=True)
-class PrimePairCertificate:
+class PrimePairCertificate(_Certificate):
     """Constructed pair (e1, e2) for a prime p = 3 mod 4, with Pell evidence."""
+
+    kind = "prime_pair_certificate"
 
     p: int
     e1: int
@@ -202,61 +224,15 @@ class PrimePairCertificate:
     evidence: GeneralizedSolution
     checks: tuple[tuple[str, bool], ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "prime_pair_certificate",
-            "p": str(self.p),
-            "e1": str(self.e1),
-            "e2": str(self.e2),
-            "m": str(self.m),
-            "D": str(self.D),
-            "predicted_form": _form_to_json(self.predicted_form),
-            "evidence": _solution_to_json(self.evidence),
-            "checks": [{"clause": n, "passed": ok} for n, ok in self.checks],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PrimePairCertificate":
-        try:
-            return cls(
-                p=int(data["p"]),
-                e1=int(data["e1"]),
-                e2=int(data["e2"]),
-                m=int(data["m"]),
-                D=int(data["D"]),
-                predicted_form=_form_from_json(data["predicted_form"]),
-                evidence=_solution_from_json(data["evidence"]),
-                checks=tuple(
-                    (str(c["clause"]), bool(c["passed"]))
-                    for c in data.get("checks", [])
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed certificate document: {exc}") from exc
+    @property
+    def identity(self) -> tuple[GeneralizedSolution, tuple[int, ...]]:
+        """Evidence a x^2 - b y^2 = 1 and the primes of a*b = D."""
+        return self.evidence, (self.p, self.e1, self.e2)
 
 
-def _form_to_json(f: QuadForm) -> dict:
-    return {"a": str(f.a), "b": str(f.b), "c": str(f.c)}
-
-
-def _form_from_json(data: dict) -> QuadForm:
-    return QuadForm(int(data["a"]), int(data["b"]), int(data["c"]))
-
-
-def _solution_to_json(s: GeneralizedSolution) -> dict:
-    return {
-        "a": str(s.a),
-        "b": str(s.b),
-        "eps": s.eps,
-        "x": str(s.x),
-        "y": str(s.y),
-    }
-
-
-def _solution_from_json(data: dict) -> GeneralizedSolution:
-    return GeneralizedSolution(
-        int(data["a"]), int(data["b"]), int(data["eps"]), int(data["x"]), int(data["y"])
-    )
+def _split_sides(d: int, M: int, t: int) -> tuple[int, int]:
+    """(a, b) of the predicted form (a, 0, -b) and its evidence a x^2 - b y^2 = 1."""
+    return (M, d) if t == 1 else (d, M)
 
 
 def ordered_prime_list(d: int) -> tuple[int, ...]:
@@ -451,12 +427,9 @@ def construct_M(
         exclude.add(e2)
         M = math.prod(m_primes) * e1 * e2
         D = d * M
-        if t == 1:
-            predicted = QuadForm(M, 0, -d)
-            evidence = solve_generalized(M, d, 1)
-        else:
-            predicted = QuadForm(d, 0, -M)
-            evidence = solve_generalized(d, M, 1)
+        a, b = _split_sides(d, M, t)
+        predicted = QuadForm(a, 0, -b)
+        evidence = solve_generalized(a, b, 1)
         if evidence is not None:
             break
         if d % 2 == 0 or (d * t) % 4 != 3:
@@ -550,6 +523,72 @@ def _run_clause(name: str, body) -> ClauseResult:
     return ClauseResult(name, True, note)
 
 
+# Clauses that cost a continued fraction or a candidate scan of D. They run
+# only after the first, structural clause has tied D to the certificate's
+# primes; otherwise a tampered D could cost without bound.
+_GATED_CLAUSES = ("unit_norm", "genus_uniqueness")
+
+
+def _run_clauses(subject: str, names: tuple[str, ...], bodies) -> VerificationReport:
+    gate = names[0]
+    results: list[ClauseResult] = []
+    for name in names:
+        if name in _GATED_CLAUSES and not results[0].passed:
+            results.append(ClauseResult(name, False, f"depends on {gate}"))
+        else:
+            results.append(_run_clause(name, bodies[name]))
+    return VerificationReport(subject, tuple(results))
+
+
+def _clause_unit_norm(D: int) -> list[str]:
+    norm = unit_norm(D)
+    if norm != 1:
+        return [f"fundamental unit norm for D = {D} is {norm}, want +1"]
+    return []
+
+
+def _clause_genus(D: int, predicted: QuadForm) -> tuple[list[str], str]:
+    """The predicted form must be the only split candidate in the principal genus.
+
+    Half candidates exist only for D = 3 mod 4 (never for a prime pair, whose
+    D = p e1 e2 is 1 mod 4); principal-genus ones are recorded in the note.
+    """
+    candidates = enumerate_ambiguous_candidates(D)
+    split_passers = [f for f in candidates.split_forms if in_principal_genus(f)]
+    half_passers = [f for f in candidates.half_forms if in_principal_genus(f)]
+    problems = []
+    if split_passers != [predicted]:
+        problems.append(
+            f"principal-genus split candidates "
+            f"{[str(f) for f in split_passers]}, "
+            f"expected exactly [{predicted}]"
+        )
+    note = (
+        f"{len(candidates.split_forms)} split and "
+        f"{len(candidates.half_forms)} half candidates scanned"
+    )
+    if half_passers:
+        # pinned companions of the d t = 3 mod 4 regime; recorded, not failed
+        note += (
+            f"; principal-genus half candidates "
+            f"{[str(f) for f in half_passers]}"
+        )
+    return problems, note
+
+
+def _clause_evidence(ev: GeneralizedSolution, expected_ab: tuple[int, int]) -> list[str]:
+    problems = []
+    if (ev.a, ev.b) != expected_ab:
+        problems.append(f"evidence solves ({ev.a}, {ev.b}), want {expected_ab}")
+    if ev.eps != 1:
+        problems.append(f"evidence eps = {ev.eps}, want 1")
+    if ev.x < 1 or ev.y < 1:
+        problems.append("evidence not positive")
+    if ev.a * ev.x * ev.x - ev.b * ev.y * ev.y != ev.eps:
+        problems.append("evidence fails the equation")
+    return problems
+
+
 def verify_certificate(cert: MCertificate) -> VerificationReport:
     """Re-derive every property of an MCertificate from scratch.
 
@@ -558,7 +597,8 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
     unit norm +1 for D; uniqueness of the predicted form among the ambiguous
     split candidates in the principal genus (half candidates are scanned too
     and any passers recorded in the clause note); and the Pell evidence
-    arithmetic.
+    arithmetic. While primality_congruence fails, unit_norm and
+    genus_uniqueness are not run and fail as "depends on primality_congruence".
     """
 
     def clause_primality() -> list[str]:
@@ -607,11 +647,8 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
             problems.append(f"M = {cert.M} is not the product of {constructed}")
         if cert.D != cert.d * cert.M:
             problems.append(f"D = {cert.D} != d*M = {cert.d * cert.M}")
-        expected_form = (
-            QuadForm(cert.M, 0, -cert.d)
-            if cert.t == 1
-            else QuadForm(cert.d, 0, -cert.M)
-        )
+        a, b = _split_sides(cert.d, cert.M, cert.t)
+        expected_form = QuadForm(a, 0, -b)
         if cert.predicted_form != expected_form:
             problems.append(
                 f"predicted form {cert.predicted_form} != {expected_form}"
@@ -688,66 +725,25 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
                 problems.append("lambda(M) fails to flip lambda(d)")
         return problems
 
-    def clause_unit_norm() -> list[str]:
-        if cert.D < 2:
-            return [f"D = {cert.D} out of range"]
-        norm = unit_norm(cert.D)
-        if norm != 1:
-            return [f"fundamental unit norm for D = {cert.D} is {norm}, want +1"]
-        return []
-
-    def clause_genus() -> tuple[list[str], str]:
-        candidates = enumerate_ambiguous_candidates(cert.D)
-        split_passers = [f for f in candidates.split_forms if in_principal_genus(f)]
-        half_passers = [f for f in candidates.half_forms if in_principal_genus(f)]
-        problems = []
-        if split_passers != [cert.predicted_form]:
-            problems.append(
-                f"principal-genus split candidates "
-                f"{[str(f) for f in split_passers]}, "
-                f"expected exactly [{cert.predicted_form}]"
-            )
-        note = (
-            f"{len(candidates.split_forms)} split and "
-            f"{len(candidates.half_forms)} half candidates scanned"
-        )
-        if half_passers:
-            # pinned companions of the d t = 3 mod 4 regime; recorded, not failed
-            note += (
-                f"; principal-genus half candidates "
-                f"{[str(f) for f in half_passers]}"
-            )
-        return problems, note
-
-    def clause_pell() -> list[str]:
-        problems = []
-        ev = cert.pell_evidence
-        expected_ab = (cert.M, cert.d) if cert.t == 1 else (cert.d, cert.M)
-        if (ev.a, ev.b) != expected_ab:
-            problems.append(f"evidence solves ({ev.a}, {ev.b}), want {expected_ab}")
-        if ev.eps != 1:
-            problems.append(f"evidence eps = {ev.eps}, want 1")
-        if ev.x < 1 or ev.y < 1:
-            problems.append("evidence not positive")
-        if ev.a * ev.x * ev.x - ev.b * ev.y * ev.y != ev.eps:
-            problems.append("evidence fails the equation")
-        return problems
-
+    expected_ab = _split_sides(cert.d, cert.M, cert.t)
     bodies = {
         "primality_congruence": clause_primality,
         "symbol_table": clause_symbols,
         "consequences": clause_consequences,
         "lambda_flip": clause_lambda,
-        "unit_norm": clause_unit_norm,
-        "genus_uniqueness": clause_genus,
-        "pell_evidence": clause_pell,
+        "unit_norm": lambda: _clause_unit_norm(cert.D),
+        "genus_uniqueness": lambda: _clause_genus(cert.D, cert.predicted_form),
+        "pell_evidence": lambda: _clause_evidence(cert.pell_evidence, expected_ab),
     }
-    clauses = tuple(_run_clause(name, bodies[name]) for name in M_CLAUSES)
-    return VerificationReport("certificate", clauses)
+    return _run_clauses("certificate", M_CLAUSES, bodies)
 
 
 def verify_prime_pair(cert: PrimePairCertificate) -> VerificationReport:
-    """Re-derive every property of a PrimePairCertificate from scratch."""
+    """Re-derive every property of a PrimePairCertificate from scratch.
+
+    While structure fails, unit_norm and genus_uniqueness are not run and fail
+    as "depends on structure".
+    """
 
     def clause_structure() -> list[str]:
         problems = []
@@ -777,46 +773,22 @@ def verify_prime_pair(cert: PrimePairCertificate) -> VerificationReport:
             problems.append("(e1/e2) != -1")
         return problems
 
-    def clause_unit_norm() -> list[str]:
-        if cert.D < 2:
-            return [f"D = {cert.D} out of range"]
-        norm = unit_norm(cert.D)
-        if norm != 1:
-            return [f"fundamental unit norm for D = {cert.D} is {norm}, want +1"]
-        return []
-
-    def clause_genus() -> list[str]:
-        candidates = enumerate_ambiguous_candidates(cert.D)
-        passers = [f for f in candidates.all_forms if in_principal_genus(f)]
-        if passers != [cert.predicted_form]:
-            return [
-                f"principal-genus candidates {[str(f) for f in passers]}, "
-                f"expected exactly [{cert.predicted_form}]"
-            ]
-        return []
-
-    def clause_evidence() -> list[str]:
-        problems = []
-        ev = cert.evidence
-        if (ev.a, ev.b) != (cert.p, cert.m):
-            problems.append(f"evidence solves ({ev.a}, {ev.b}), want (p, m)")
-        if ev.eps != 1:
-            problems.append(f"evidence eps = {ev.eps}, want 1")
-        if ev.x < 1 or ev.y < 1:
-            problems.append("evidence not positive")
-        if ev.a * ev.x * ev.x - ev.b * ev.y * ev.y != ev.eps:
-            problems.append("evidence fails the equation")
-        return problems
-
     bodies = {
         "structure": clause_structure,
         "symbols": clause_symbols,
-        "unit_norm": clause_unit_norm,
-        "genus_uniqueness": clause_genus,
-        "evidence": clause_evidence,
+        "unit_norm": lambda: _clause_unit_norm(cert.D),
+        "genus_uniqueness": lambda: _clause_genus(cert.D, cert.predicted_form),
+        "evidence": lambda: _clause_evidence(cert.evidence, (cert.p, cert.m)),
     }
-    clauses = tuple(_run_clause(name, bodies[name]) for name in PAIR_CLAUSES)
-    return VerificationReport("prime pair", clauses)
+    return _run_clauses("prime pair", PAIR_CLAUSES, bodies)
+
+
+# kind -> (certificate class, verifier). The verifiers are looked up by name
+# when called, so a wrapper installed on the module-level name sees the call.
+CERTIFICATE_KINDS = {
+    MCertificate.kind: (MCertificate, lambda cert: verify_certificate(cert)),
+    PrimePairCertificate.kind: (PrimePairCertificate, lambda cert: verify_prime_pair(cert)),
+}
 
 
 def with_checks(cert, report: VerificationReport):

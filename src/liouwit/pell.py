@@ -10,7 +10,6 @@ from .arith import integer_sqrt, jacobi
 from .errors import InternalInvariantError, InvalidInputError
 from .factor import factorize
 from .forms import (
-    AmbiguousCandidateList,
     QuadForm,
     enumerate_ambiguous_candidates,
     half_parameters,
@@ -248,7 +247,7 @@ def iterate_solution(
 
 def unit_norm(D: int) -> int:
     """Norm of the fundamental unit of discriminant 4D: -1 iff the period is odd."""
-    return -1 if cf_sqrt(D).period % 2 else 1
+    return fundamental_solution(D).unit_norm
 
 
 def principal_class_ambiguous(
@@ -283,7 +282,3 @@ def principal_class_ambiguous(
         )
     return hits[0]
 
-
-def candidate_scan(D: int) -> AmbiguousCandidateList:
-    """Re-exported enumeration used by certificate verification."""
-    return enumerate_ambiguous_candidates(D)

@@ -177,11 +177,31 @@ def _squared(fact: Factorization) -> Factorization:
     return Factorization(1, tuple((p, 2 * e) for p, e in fact.factors))
 
 
-def _known_part_certificate(cert: MCertificate) -> Factorization:
-    parts = tuple((q, 1) for q in cert.m_primes + (cert.e1, cert.e2))
-    return merge_factorizations(
-        [factorize(cert.d), Factorization(1, parts)]
-    )
+def _pell_identity(d0: int, eps: int) -> tuple[GeneralizedSolution, tuple[int, ...]]:
+    """Least solution of x^2 - d0 y^2 = eps, and the primes of d0."""
+    fund = fundamental_solution(d0)
+    xy = (fund.t, fund.u) if eps == 1 else fund.neg_solution
+    if xy is None:
+        raise InternalInvariantError(
+            f"negative Pell equation unexpectedly insoluble for D = {d0}"
+        )
+    return GeneralizedSolution(1, d0, eps, *xy), tuple(p for p, _ in factorize(d0).factors)
+
+
+# (branch, sign) -> (eps, provenance): the first solution is the least one
+# of x^2 - d0 y^2 = eps, or with eps None the certificate's evidence. A pair
+# missing here has no construction. The only + construction is the direct
+# Pell of a positive core with lambda(d0) = +1: n = d0 y with
+# x^2 - d0 y^2 = 1 gives n^2 + d0 = d0 x^2.
+_RECIPES = {
+    (BRANCH_PRIME_PLUS, -1): (1, PROV_DIRECT_PELL),
+    (BRANCH_COMPOSITE_DIRECT, -1): (1, PROV_DIRECT_PELL),
+    (BRANCH_COMPOSITE_CERT_PLUS, 1): (1, PROV_DIRECT_PELL),
+    (BRANCH_PRIME_MINUS_1MOD4, -1): (-1, PROV_NEGATIVE_PELL),
+    (BRANCH_PRIME_MINUS_3MOD4, -1): (None, PROV_PRIME_PAIR),
+    (BRANCH_COMPOSITE_CERT_PLUS, -1): (None, PROV_CERTIFICATE),
+    (BRANCH_COMPOSITE_CERT_MINUS, -1): (None, PROV_CERTIFICATE),
+}
 
 
 def _constructive_stream(witness_plan: WitnessPlan, want: int):
@@ -191,75 +211,34 @@ def _constructive_stream(witness_plan: WitnessPlan, want: int):
     including the scale lift; `k` is the growing Pell coordinate. Returns None
     when the branch has no construction for the requested sign.
     """
+    recipe = _RECIPES.get((witness_plan.branch, want))
+    if recipe is None:
+        return None
+    eps, provenance = recipe
     d = witness_plan.d
     d0 = abs(witness_plan.core)
     scale = witness_plan.scale
-    branch = witness_plan.branch
-
-    if branch == BRANCH_SQUARE_CORE:
-        return None
-    if want == 1:
-        # only a positive non-square core with lambda(d0) = +1 has a
-        # construction: n = d0 l with x^2 - d0 l^2 = 1 gives n^2 + d0 = d0 x^2
-        if witness_plan.core < 0 or liouville(d0) != 1:
-            return None
-        fund = fundamental_solution(d0)
-        first = GeneralizedSolution(1, d0, 1, fund.t, fund.u)
-        known = factorize(d0)
-        coord = "y"
-        provenance = PROV_DIRECT_PELL
-    elif branch in (BRANCH_PRIME_PLUS, BRANCH_COMPOSITE_DIRECT):
-        fund = fundamental_solution(d0)
-        first = GeneralizedSolution(1, d0, 1, fund.t, fund.u)
-        known = factorize(d0)
-        coord = "y"
-        provenance = PROV_DIRECT_PELL
-    elif branch == BRANCH_PRIME_MINUS_1MOD4:
-        fund = fundamental_solution(d0)
-        if fund.neg_solution is None:
-            raise InternalInvariantError(
-                f"negative Pell equation unexpectedly insoluble for D = {d0}"
-            )
-        first = GeneralizedSolution(1, d0, -1, *fund.neg_solution)
-        known = factorize(d0)
-        coord = "y"
-        provenance = PROV_NEGATIVE_PELL
-    elif branch == BRANCH_PRIME_MINUS_3MOD4:
-        cert = witness_plan.certificate
-        first = cert.evidence
-        known = merge_factorizations(
-            [factorize(cert.p), factorize(cert.e1), factorize(cert.e2)]
-        )
-        coord = "x"
-        provenance = PROV_PRIME_PAIR
-    elif branch == BRANCH_COMPOSITE_CERT_PLUS:
-        cert = witness_plan.certificate
-        first = cert.pell_evidence
-        known = _known_part_certificate(cert)
-        coord = "y"
-        provenance = PROV_CERTIFICATE
-    elif branch == BRANCH_COMPOSITE_CERT_MINUS:
-        cert = witness_plan.certificate
-        first = cert.pell_evidence
-        known = _known_part_certificate(cert)
-        coord = "x"
-        provenance = PROV_CERTIFICATE
+    if eps is None:
+        first, primes = witness_plan.certificate.identity
     else:
-        raise InternalInvariantError(f"unknown branch {branch}")
+        first, primes = _pell_identity(d0, eps)
 
-    known = merge_factorizations([known, _squared(factorize(scale))])
+    known = merge_factorizations(
+        [Factorization(1, tuple((q, 1) for q in primes)), _squared(factorize(scale))]
+    )
     if known.liouville != want:
         raise InternalInvariantError(
-            f"constructive branch {branch} would produce lambda = "
+            f"constructive branch {witness_plan.branch} would produce lambda = "
             f"{known.liouville}, not {want}"
         )
     if scale > 1:
         provenance = PROV_SCALED
+    # n = d0 l, where l is the coordinate on d0's side of a x^2 - b y^2 = eps
+    d0_on_x = first.a == d0
 
     def generate():
         for sol in _solution_stream(first):
-            l = sol.y if coord == "y" else sol.x
-            k = sol.x if coord == "y" else sol.y
+            l, k = (sol.x, sol.y) if d0_on_x else (sol.y, sol.x)
             n = d0 * l * scale
             value = known.value * k * k
             if value != n * n + d:

@@ -113,6 +113,23 @@ def test_verify_prime_pair_document(tmp_path, capsys):
     assert verdict["result"]["subject"] == "prime pair"
 
 
+def test_verify_dispatches_on_kind_only(tmp_path, capsys):
+    from liouwit import construct_M, verify_certificate, with_checks
+
+    cert = construct_M(6, 1)
+    doc = with_checks(cert, verify_certificate(cert)).to_json_dict()
+    path = tmp_path / "cert.json"
+    # a stray "p" key does not make an m_certificate a prime pair
+    path.write_text(json.dumps({**doc, "p": "3"}))
+    code, verdict = run_json(capsys, ["verify", str(path)])
+    assert code == EXIT_OK
+    assert verdict["result"]["subject"] == "certificate"
+    for kind in ({}, {"kind": "prime_pair"}, {"kind": ["m_certificate"]}):
+        path.write_text(json.dumps({**{k: v for k, v in doc.items() if k != "kind"}, **kind}))
+        assert main(["verify", str(path)]) == EXIT_INVALID_INPUT
+        assert "unknown certificate kind" in capsys.readouterr().err
+
+
 def test_verify_bad_paths(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_INVALID_INPUT
     capsys.readouterr()

@@ -9,7 +9,6 @@ from liouwit import (
     GeneralizedSolution,
     InvalidInputError,
     M_CLAUSES,
-    MCertificate,
     PAIR_CLAUSES,
     QuadForm,
     ResidueClass,
@@ -24,6 +23,7 @@ from liouwit import (
     verify_prime_pair,
     with_checks,
 )
+from liouwit.construct import CERTIFICATE_KINDS
 
 
 def test_ordered_prime_list():
@@ -185,12 +185,51 @@ def test_construct_m_rejects():
         construct_M(30, 1)  # lambda(30) = -1 forces t = -1
 
 
-def test_certificate_json_roundtrip():
-    cert = construct_M(6, 1)
-    doc = json.loads(json.dumps(cert.to_json_dict()))
-    assert MCertificate.from_json_dict(doc) == cert
+# the wire format: sign fields are JSON ints, every other integer a string
+PINNED_JSON = [
+    (
+        lambda: construct_M(6, 1),
+        '{"D": "10230", "M": "1705", "checks": [], "d": "6", "d_primes": ["3", "2"], '
+        '"e1": "31", "e2": "11", "kind": "m_certificate", "lambda_d": 1, '
+        '"lambda_m": -1, "m_primes": ["5"], "pell_evidence": {"a": "1705", '
+        '"b": "6", "eps": 1, "x": "7", "y": "118"}, "predicted_form": {"a": "1705", '
+        '"b": "0", "c": "-6"}, "s": -1, "t": 1}',
+    ),
+    (
+        lambda: construct_M(30, -1),
+        '{"D": "24593088930", "M": "819769631", "checks": [], "d": "30", '
+        '"d_primes": ["3", "5", "2"], "e1": "223", "e2": "2141", '
+        '"kind": "m_certificate", "lambda_d": -1, "lambda_m": 1, '
+        '"m_primes": ["17", "101"], "pell_evidence": {"a": "30", "b": "819769631", '
+        '"eps": 1, "x": "40169946997685948970777861326187106241645743463436122076400'
+        "2409719012790891859099295627092012961086528079041592654448505455468878940790"
+        "2205465411152084205946453805234420355394706947194209691907962434971537836562"
+        '3486527666853840450238336692920027335960865624", "y": "7684506341209589915'
+        "3313725865798221914943760523496424853577587571755602038711461034729737914913"
+        "7574707249223391733758641475117210813863612964011263061394688253035969167124"
+        "9673872245485957191786148477094003253138016362528236988309725071905385751665"
+        '737647"}, "predicted_form": {"a": "30", "b": "0", "c": "-819769631"}, '
+        '"s": 1, "t": -1}',
+    ),
+    (
+        lambda: construct_prime_pair(3),
+        '{"D": "429", "checks": [], "e1": "11", "e2": "13", "evidence": {"a": "3", '
+        '"b": "143", "eps": 1, "x": "504", "y": "73"}, "kind": "prime_pair_certificate", '
+        '"m": "143", "p": "3", "predicted_form": {"a": "3", "b": "0", "c": "-143"}}',
+    ),
+]
+
+
+@pytest.mark.parametrize("build,pinned", PINNED_JSON, ids=["M-6-1", "M-30--1", "pair-3"])
+def test_certificate_json_roundtrip(build, pinned):
+    cert = build()
+    assert json.dumps(cert.to_json_dict(), sort_keys=True) == pinned
+    codec, verify = CERTIFICATE_KINDS[cert.kind]
+    assert codec is type(cert)
+    for c in (cert, with_checks(cert, verify(cert))):
+        assert codec.from_json_dict(json.loads(json.dumps(c.to_json_dict()))) == c
     with pytest.raises(InvalidInputError):
-        MCertificate.from_json_dict({"d": "6"})
+        codec.from_json_dict({"d": "6"})
 
 
 def test_verify_certificate_passes_and_notes():
@@ -235,7 +274,17 @@ M_TAMPER_CASES = [
     ("D", 10230 * 2, "primality_congruence"),
     ("predicted_form", QuadForm(341, 0, -30), "primality_congruence"),
     ("pell_evidence", GeneralizedSolution(1705, 6, 1, 7, 119), "pell_evidence"),
+    # a continued fraction of this D would not finish; the gate keeps it unrun
+    ("D", 10**40 + 7, "primality_congruence"),
 ]
+
+
+def assert_gated(report, clause):
+    """With the structural clause failed, the costly clauses are not run."""
+    details = {c.name: c.detail for c in report.clauses}
+    for name in ("unit_norm", "genus_uniqueness"):
+        assert details[name] == f"depends on {clause}"
+        assert name in report.failures
 
 
 @pytest.mark.parametrize("field,value,clause", M_TAMPER_CASES)
@@ -244,6 +293,8 @@ def test_verify_certificate_tamper(field, value, clause):
     report = verify_certificate(cert)
     assert not report.passed
     assert clause in report.failures
+    if clause == "primality_congruence":
+        assert_gated(report, clause)
 
 
 def test_verify_certificate_tampered_symbols():
@@ -313,6 +364,8 @@ def test_verify_prime_pair_tamper(field, value, clause):
     report = verify_prime_pair(cert)
     assert not report.passed
     assert clause in report.failures
+    if clause == "structure":
+        assert_gated(report, clause)
 
 
 def test_verify_prime_pair_wrong_symbols():
