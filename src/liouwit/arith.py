@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: quadratic symbols, CRT merging, primality, prime search.
+"""Exact integer arithmetic: quadratic symbols, CRT merging, primality, prime search,
+square roots modulo a prime.
 
 All functions are pure and use arbitrary-precision integers throughout.
 """
@@ -203,6 +204,41 @@ def next_prime_in_class(
     raise SearchExhaustedError(
         f"no admissible prime in {cls} below cap {cap}"
     )
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """The least r >= 0 with r^2 = a (mod p), for a prime p; Tonelli-Shanks.
+
+    Raises InvalidInputError when a is not a square modulo p. p is trusted
+    to be prime: for a composite p the answer is meaningless.
+    """
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise InvalidInputError(f"{a} is not a square modulo {p}")
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        # p - 1 = q 2^s with q odd; z is any non-residue
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            # least i with t^(2^i) = 1; then scale by c^(2^(s-i-1))
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+    return min(r, p - r)
 
 
 def integer_sqrt(n: int) -> tuple[int, bool]:

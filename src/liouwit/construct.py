@@ -37,7 +37,7 @@ from .errors import (
     LiouwitError,
     SearchExhaustedError,
 )
-from .factor import factorize, liouville
+from .factor import factorize
 from .forms import QuadForm, enumerate_ambiguous_candidates
 from .genus import in_principal_genus
 from .pell import GeneralizedSolution, principal_class_ambiguous, solve_generalized, unit_norm
@@ -592,28 +592,32 @@ def _clause_evidence(ev: GeneralizedSolution, expected_ab: tuple[int, int]) -> l
 def verify_certificate(cert: MCertificate) -> VerificationReport:
     """Re-derive every property of an MCertificate from scratch.
 
-    Clauses, in order: primality and congruence classes; the symbol table with
-    its cross conditions; the derived symbol consequences; the lambda flip;
-    unit norm +1 for D; uniqueness of the predicted form among the ambiguous
-    split candidates in the principal genus (half candidates are scanned too
-    and any passers recorded in the clause note); and the Pell evidence
-    arithmetic. While primality_congruence fails, unit_norm and
+    d itself is never factored: every clause reads the stored d_primes, which
+    primality_congruence checks are at least two distinct primes in canonical
+    order with product d. Clauses, in order: primality and congruence classes;
+    the symbol table with its cross conditions; the derived symbol
+    consequences; the lambda flip; unit norm +1 for D; uniqueness of the
+    predicted form among the ambiguous split candidates in the principal genus
+    (half candidates are scanned too and any passers recorded in the clause
+    note); and the Pell evidence arithmetic. While primality_congruence fails, unit_norm and
     genus_uniqueness are not run and fail as "depends on primality_congruence".
     """
 
     def clause_primality() -> list[str]:
-        problems = []
         if cert.d < 2:
             return [f"d = {cert.d} is not a positive integer >= 2"]
-        try:
-            expected_primes = ordered_prime_list(cert.d)
-        except InvalidInputError as exc:
-            return [str(exc)]
-        if cert.d_primes != expected_primes:
-            problems.append(
-                f"stored prime list {cert.d_primes} != recomputed {expected_primes}"
-            )
-        r = len(expected_primes)
+        # checking the stored primes is as strong as factoring d, since the
+        # factorization is unique, and it costs no factoring of untrusted input
+        d_primes = cert.d_primes
+        problems = [f"{p} in d_primes is not prime" for p in d_primes if not is_prime(p)]
+        canonical = tuple(sorted(p for p in d_primes if p != 2)) + (2,) * d_primes.count(2)
+        if d_primes != canonical:
+            problems.append(f"d_primes {d_primes} not odd primes ascending, then 2")
+        if len(set(d_primes)) != len(d_primes) or len(d_primes) < 2:
+            problems.append(f"d_primes {d_primes} are not at least two distinct primes")
+        if math.prod(d_primes) != cert.d:
+            problems.append(f"d = {cert.d} is not the product of d_primes {d_primes}")
+        r = len(d_primes)
         if cert.t not in (1, -1):
             problems.append(f"t = {cert.t} not a sign")
             return problems
@@ -631,7 +635,7 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
         for q in constructed:
             if q < 3 or q % 2 == 0 or not is_prime(q):
                 problems.append(f"{q} is not an odd prime")
-            if q in expected_primes:
+            if q in d_primes:
                 problems.append(f"{q} divides d")
         for i, m_i in enumerate(cert.m_primes, start=1):
             want = 5 if i == r - 1 else 1
@@ -657,7 +661,7 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
 
     def clause_symbols() -> list[str]:
         problems = []
-        d_primes = ordered_prime_list(cert.d)
+        d_primes = cert.d_primes
         r = len(d_primes)
         slot_value = {f"m{i}": m for i, m in enumerate(cert.m_primes, start=1)}
         slot_value["e1"] = cert.e1
@@ -696,14 +700,15 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
         for label, e in (("e1", cert.e1), ("e2", cert.e2)):
             if jacobi(cert.d, e) != s:
                 problems.append(f"(d/{label}) = {jacobi(cert.d, e)}, want s = {s}")
-        for p in ordered_prime_list(cert.d):
+        for p in cert.d_primes:
             if jacobi(p, cert.M) != 1:
                 problems.append(f"({p}/M) = {jacobi(p, cert.M)}, want 1")
         return problems
 
     def clause_lambda() -> list[str]:
         problems = []
-        true_lambda_d = liouville(cert.d)
+        # d is square-free with these primes once primality_congruence passes
+        true_lambda_d = (-1) ** len(cert.d_primes)
         if cert.lambda_d != true_lambda_d:
             problems.append(
                 f"lambda_d = {cert.lambda_d}, but lambda({cert.d}) = {true_lambda_d}"

@@ -1,11 +1,14 @@
-"""Integer factorization, the Liouville function, and square-free core extraction."""
+"""Integer factorization, the Liouville function, square-free core extraction,
+and prime ranges."""
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 
 from .arith import integer_sqrt, is_prime
 from .errors import FactorBudgetExceededError, InvalidInputError
@@ -38,6 +41,28 @@ def primes_below_million() -> list[int]:
         spf = _smallest_prime_factors()
         _prime_list = [i for i in range(2, _SPF_LIMIT + 1) if spf[i] == i]
     return _prime_list
+
+
+def primerange(lo: int, hi: int) -> list[int]:
+    """Ascending primes p with lo <= p < hi.
+
+    Primes below 10^6 are sliced from the shared list; the part of the range
+    above 10^6 is sieved here, with base primes up to sqrt(hi) found the same
+    way.
+    """
+    lo = max(lo, 2)
+    if hi <= lo:
+        return []
+    small = primes_below_million()
+    out = small[bisect_left(small, lo):bisect_left(small, hi)]
+    start = max(lo, _SPF_LIMIT + 1)
+    if hi > start:
+        candidate = bytearray(b"\x01") * (hi - start)
+        for p in primerange(2, math.isqrt(hi - 1) + 1):
+            first = max(p * p, -(-start // p) * p) - start
+            candidate[first::p] = bytes(len(range(first, hi - start, p)))
+        out += compress(range(start, hi), candidate)
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,18 @@ back to a brute scan.  Constructive witnesses satisfy an exact identity
 n^2 + d = (known square-free part) * k^2 that is checked in integer arithmetic
 before any factoring happens; the factorization of k then upgrades the
 theoretical sign to an independently verified one.
+
+sign_change_report counts both signs of lambda(n^2 + d) over a range of n
+exactly, with a block sieve of quadratic progressions that needs no
+primality test (see _lambda_blocks).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from sympy import integer_nthroot, primerange
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
-from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, jacobi
+from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, jacobi, sqrt_mod
 from .construct import (
     MCertificate,
     PrimePairCertificate,
@@ -36,11 +38,15 @@ from .factor import (
     factorize,
     liouville,
     merge_factorizations,
+    primerange,
     squarefree_core,
 )
 from .pell import GeneralizedSolution, fundamental_solution, iterate_solution
 
 BRUTE_SCAN_BOUND = 10**7
+
+# n values per block of the sign sieve
+_SIEVE_BLOCK = 1 << 16
 
 # Pell coordinates larger than this are not worth a factoring attempt: the
 # iteration budget can only extract factors far below such a k's plausible
@@ -377,53 +383,54 @@ def scale_witness(w: Witness, scale: int) -> Witness:
     return Witness(d, n, value, fact, w.lambda_value, PROV_SCALED, w.verified)
 
 
-def _lambda_array(d: int, bound: int) -> list[int | None]:
-    """lambda(n^2 + d) for 0 <= n <= bound, None where n^2 + d < 1.
+def _sieve_table(d: int, bound: int) -> list[tuple[int, int]]:
+    """(p, root) for each prime p <= sqrt(bound^2 + d) and root of n^2 + d mod p.
 
-    Sieve of quadratic progressions: for each prime p up to roughly the cube
-    root of the largest value, the n with p | n^2 + d form at most two residue
-    classes mod p found by a modular square root; stripping those primes
-    leaves residuals with at most two prime factors, resolved by one
-    primality test.
+    Every n = root (mod p) has p | n^2 + d; a prime has one root when it
+    divides 2d and two or none otherwise, found by a modular square root.
     """
-    values = [n * n + d for n in range(bound + 1)]
-    omega = [0] * (bound + 1)
-    residual = [v if v >= 1 else 0 for v in values]
-    max_value = max(values[-1], 1)
-    limit = max(10_000, integer_nthroot(max_value, 3)[0] + 1)
+    table = []
+    for p in primerange(2, math.isqrt(max(bound * bound + d, 0)) + 1):
+        c = -d % p
+        if p == 2 or c == 0:
+            table.append((p, c))
+        elif jacobi(c, p) == 1:
+            r = sqrt_mod(c, p)
+            table += ((p, r), (p, p - r))
+    return table
 
-    for p in primerange(2, limit + 1):
-        if p == 2:
-            roots = [d % 2]
-        elif d % p == 0:
-            roots = [0]
-        else:
-            c = (-d) % p
-            if jacobi(c, p) == -1:
-                continue
-            r = int(sqrt_mod(c, p))
-            roots = sorted({r, p - r})
-        for root in roots:
-            for n in range(root, bound + 1, p):
-                v = residual[n]
-                if v == 0:
-                    continue
+
+def _lambda_blocks(d: int, bound: int):
+    """Yield (lo, [lambda(n^2 + d) for lo <= n < lo + len]) over 0 <= n <= bound.
+
+    Entries where n^2 + d < 1 are None. Exact sieve of quadratic
+    progressions, run block by block so that memory for n stays fixed: every
+    prime p <= sqrt(bound^2 + d) is divided out of n^2 + d along its
+    progressions, and what is left is then 1 or a single prime. lambda is
+    the parity of the primes divided out, plus one for a residual above 1.
+    """
+    table = _sieve_table(d, bound)
+    # n^2 + d < 1 exactly for n < first_positive
+    first_positive = 0 if d > 0 else math.isqrt(-d) + 1
+    for lo in range(0, bound + 1, _SIEVE_BLOCK):
+        size = min(_SIEVE_BLOCK, bound + 1 - lo)
+        residual = [n * n + d for n in range(lo, lo + size)]
+        undefined = max(0, min(size, first_positive - lo))
+        # 1 is divisible by no prime, so the sieve passes over these entries
+        residual[:undefined] = [1] * undefined
+        omega = [0] * size
+        for p, root in table:
+            for i in range((root - lo) % p, size, p):
+                v = residual[i]
+                k = 0
                 while v % p == 0:
                     v //= p
-                    omega[n] += 1
-                residual[n] = v
-
-    out: list[int | None] = [None] * (bound + 1)
-    for n in range(bound + 1):
-        v = residual[n]
-        if v == 0:
-            continue
-        if v > 1:
-            if v >= limit * limit * limit:
-                raise InternalInvariantError(f"residual {v} too large at n = {n}")
-            omega[n] += 1 if is_prime(v) else 2
-        out[n] = -1 if omega[n] % 2 else 1
-    return out
+                    k += 1
+                residual[i] = v
+                omega[i] += k
+        lambdas = [-1 if (k + (v > 1)) & 1 else 1 for k, v in zip(omega, residual)]
+        lambdas[:undefined] = [None] * undefined
+        yield lo, lambdas
 
 
 def sign_change_report(d: int, bound: int) -> SignChangeReport:
@@ -432,17 +439,14 @@ def sign_change_report(d: int, bound: int) -> SignChangeReport:
         raise InvalidInputError("d must be nonzero")
     if bound < 0:
         raise InvalidInputError(f"bound must be nonnegative, got {bound}")
-    lambdas = _lambda_array(d, bound)
-    count_minus = sum(1 for v in lambdas if v == -1)
-    count_plus = sum(1 for v in lambdas if v == 1)
-    first = None
-    first_change = None
-    for n, v in enumerate(lambdas):
-        if v is None:
-            continue
+    count_minus = count_plus = 0
+    first = first_change = None
+    for lo, lambdas in _lambda_blocks(d, bound):
+        count_minus += lambdas.count(-1)
+        count_plus += lambdas.count(1)
         if first is None:
-            first = v
-        elif v != first:
-            first_change = n
-            break
+            first = next((v for v in lambdas if v is not None), None)
+        # None never equals -first, so the first match follows the first value
+        if first_change is None and first is not None and -first in lambdas:
+            first_change = lo + lambdas.index(-first)
     return SignChangeReport(d, bound, count_minus, count_plus, first_change)

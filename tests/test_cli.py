@@ -1,6 +1,11 @@
 """End-to-end tests of the command line interface and its JSON envelopes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +133,35 @@ def test_verify_dispatches_on_kind_only(tmp_path, capsys):
         path.write_text(json.dumps({**{k: v for k, v in doc.items() if k != "kind"}, **kind}))
         assert main(["verify", str(path)]) == EXIT_INVALID_INPUT
         assert "unknown certificate kind" in capsys.readouterr().err
+
+
+def test_verify_does_not_factor_untrusted_d(tmp_path, capsys):
+    code, env = run_json(capsys, ["construct-m", "6", "--t", "1"])
+    doc = env["result"]
+    # a semiprime no rho budget could split; only the stored d_primes are read
+    doc["d"] = str((10**39 + 3) * (2 * 10**39 + 11))
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    assert main(["verify", str(path)]) == EXIT_VERIFICATION_FAILURE
+    assert time.monotonic() - start < 2
+    assert "primality_congruence" in capsys.readouterr().err
+
+
+def test_import_does_not_load_sympy():
+    # sympy is imported lazily, for Baillie-PSW on huge inputs only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, liouwit.cli; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_verify_bad_paths(tmp_path, capsys):

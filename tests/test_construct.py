@@ -276,6 +276,8 @@ M_TAMPER_CASES = [
     ("pell_evidence", GeneralizedSolution(1705, 6, 1, 7, 119), "pell_evidence"),
     # a continued fraction of this D would not finish; the gate keeps it unrun
     ("D", 10**40 + 7, "primality_congruence"),
+    # no rho budget splits this d; the verifier reads d_primes and never tries
+    ("d", (10**39 + 3) * (2 * 10**39 + 11), "primality_congruence"),
 ]
 
 
@@ -295,6 +297,19 @@ def test_verify_certificate_tamper(field, value, clause):
     assert clause in report.failures
     if clause == "primality_congruence":
         assert_gated(report, clause)
+
+
+@pytest.mark.parametrize(
+    "d_primes",
+    [(6,), (1, 3, 2), (2, 3), (3, 3, 2), (-3, -2)],
+    ids=["one-composite", "unit", "order", "repeated", "negative"],
+)
+def test_verify_certificate_checks_stored_d_primes(d_primes):
+    # d stays 6 and is never factored; only the stored list can be wrong
+    cert = construct_M(6, 1)
+    report = verify_certificate(replace(cert, d_primes=d_primes))
+    assert "primality_congruence" in report.failures
+    assert_gated(report, "primality_congruence")
 
 
 def test_verify_certificate_tampered_symbols():

@@ -188,6 +188,14 @@ def test_sign_change_report_pinned():
     assert (rep.count_minus, rep.count_plus, rep.first_change_n) == (487, 512, 4)
 
 
+def test_sign_change_report_pinned_past_a_million():
+    # sieving to sqrt(bound^2 + d) needs primes above 10^6 here
+    rep = sign_change_report(6, 1_000_050)
+    assert (rep.count_minus, rep.count_plus, rep.first_change_n) == (499266, 500785, 1)
+    rep = sign_change_report(-7, 1_000_050)
+    assert (rep.count_minus, rep.count_plus, rep.first_change_n) == (499784, 500264, 4)
+
+
 def test_sign_change_report_matches_direct_factorization():
     for d in (1, -1, 6, -6, 17, -20):
         rep = sign_change_report(d, 200)
