@@ -707,11 +707,12 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
 
     def clause_lambda() -> list[str]:
         problems = []
-        # d is square-free with these primes once primality_congruence passes
+        # lambda(d) itself once primality_congruence has tied d_primes to d
         true_lambda_d = (-1) ** len(cert.d_primes)
         if cert.lambda_d != true_lambda_d:
             problems.append(
-                f"lambda_d = {cert.lambda_d}, but lambda({cert.d}) = {true_lambda_d}"
+                f"lambda_d = {cert.lambda_d}, but the {len(cert.d_primes)} "
+                f"d_primes give {true_lambda_d}"
             )
         constructed = cert.m_primes + (cert.e1, cert.e2)
         if cert.M != math.prod(constructed) or len(set(constructed)) != len(

@@ -11,13 +11,15 @@ theoretical sign to an independently verified one.
 
 sign_change_report counts both signs of lambda(n^2 + d) over a range of n
 exactly, with a block sieve of quadratic progressions that needs no
-primality test (see _lambda_blocks).
+primality test unless |d| is far above the square of the range (see
+_lambda_blocks).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, jacobi, sqrt_mod
 from .construct import (
@@ -47,6 +49,9 @@ BRUTE_SCAN_BOUND = 10**7
 
 # n values per block of the sign sieve
 _SIEVE_BLOCK = 1 << 16
+
+# the sign sieve divides out every prime up to at least this
+_SIEVE_FLOOR = 10**4
 
 # Pell coordinates larger than this are not worth a factoring attempt: the
 # iteration budget can only extract factors far below such a k's plausible
@@ -383,44 +388,80 @@ def scale_witness(w: Witness, scale: int) -> Witness:
     return Witness(d, n, value, fact, w.lambda_value, PROV_SCALED, w.verified)
 
 
-def _sieve_table(d: int, bound: int) -> list[tuple[int, int]]:
-    """(p, root) for each prime p <= sqrt(bound^2 + d) and root of n^2 + d mod p.
+def _sieve_limit(d: int, bound: int) -> int:
+    """Largest prime the sign sieve divides out of n^2 + d for n <= bound.
+
+    The square root of the largest value, so that every residual is 1 or a
+    prime; but at most max(_SIEVE_FLOOR, bound), so that a |d| far above
+    bound^2 cannot make the (p, root) table outgrow the bound.
+    """
+    top = math.isqrt(max(bound * bound + d, 0))
+    return min(top, max(_SIEVE_FLOOR, bound))
+
+
+def _sieve_roots(d: int, limit: int):
+    """Yield (p, root) for each prime p <= limit and root of n^2 + d mod p.
 
     Every n = root (mod p) has p | n^2 + d; a prime has one root when it
     divides 2d and two or none otherwise, found by a modular square root.
     """
-    table = []
-    for p in primerange(2, math.isqrt(max(bound * bound + d, 0)) + 1):
+    for p in primerange(2, limit + 1):
         c = -d % p
         if p == 2 or c == 0:
-            table.append((p, c))
+            yield p, c
         elif jacobi(c, p) == 1:
             r = sqrt_mod(c, p)
-            table += ((p, r), (p, p - r))
-    return table
+            yield p, r
+            yield p, p - r
+
+
+def _rough_liouville(v: int, limit: int) -> int:
+    """lambda(v) for v > 1 with no prime factor <= limit."""
+    if v < (limit + 1) ** 3:
+        # one prime factor or two
+        return -1 if is_prime(v) else 1
+    return liouville(v)
 
 
 def _lambda_blocks(d: int, bound: int):
     """Yield (lo, [lambda(n^2 + d) for lo <= n < lo + len]) over 0 <= n <= bound.
 
-    Entries where n^2 + d < 1 are None. Exact sieve of quadratic
-    progressions, run block by block so that memory for n stays fixed: every
-    prime p <= sqrt(bound^2 + d) is divided out of n^2 + d along its
-    progressions, and what is left is then 1 or a single prime. lambda is
-    the parity of the primes divided out, plus one for a residual above 1.
+    Entries where n^2 + d < 1 are None. Sieve of quadratic progressions,
+    run block by block so that memory for n stays fixed: every prime
+    p <= _sieve_limit(d, bound) is divided out of n^2 + d along its
+    progressions. Unless |d| is far above bound^2, the limit is the square
+    root of the largest value, so what is left is 1 or a single prime and
+    lambda is the parity of the primes divided out, plus one for a residual
+    above 1; a larger residual is resolved by _rough_liouville.
     """
-    table = _sieve_table(d, bound)
+    limit = _sieve_limit(d, bound)
+    square = (limit + 1) ** 2
+    block = _SIEVE_BLOCK
+    # A prime up to the block length is walked through every block. A larger
+    # one hits a block at most once, so each of its roots waits in the
+    # bucket of the block that holds its next n; the work stays linear in
+    # the bound however many blocks there are.
+    small = []
+    buckets = [[] for _ in range(bound // block + 1)]
+    for p, root in _sieve_roots(d, limit):
+        if p <= block:
+            small.append((p, root))
+        elif root <= bound:
+            buckets[root // block].append((p, root))
     # n^2 + d < 1 exactly for n < first_positive
     first_positive = 0 if d > 0 else math.isqrt(-d) + 1
-    for lo in range(0, bound + 1, _SIEVE_BLOCK):
-        size = min(_SIEVE_BLOCK, bound + 1 - lo)
+    for b, lo in enumerate(range(0, bound + 1, block)):
+        size = min(block, bound + 1 - lo)
         residual = [n * n + d for n in range(lo, lo + size)]
         undefined = max(0, min(size, first_positive - lo))
         # 1 is divisible by no prime, so the sieve passes over these entries
         residual[:undefined] = [1] * undefined
         omega = [0] * size
-        for p, root in table:
-            for i in range((root - lo) % p, size, p):
+        due, buckets[b] = buckets[b], None
+        for p, start in chain(
+            ((p, (root - lo) % p) for p, root in small), ((p, n - lo) for p, n in due)
+        ):
+            for i in range(start, size, p):
                 v = residual[i]
                 k = 0
                 while v % p == 0:
@@ -428,7 +469,15 @@ def _lambda_blocks(d: int, bound: int):
                     k += 1
                 residual[i] = v
                 omega[i] += k
+        for p, n in due:
+            if n + p <= bound:
+                buckets[(n + p) // block].append((p, n + p))
         lambdas = [-1 if (k + (v > 1)) & 1 else 1 for k, v in zip(omega, residual)]
+        # only where the limit was capped below sqrt(bound^2 + d)
+        if max(residual) >= square:
+            for i, v in enumerate(residual):
+                if v >= square:
+                    lambdas[i] = (-1) ** omega[i] * _rough_liouville(v, limit)
         lambdas[:undefined] = [None] * undefined
         yield lo, lambdas
 

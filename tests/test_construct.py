@@ -312,6 +312,15 @@ def test_verify_certificate_checks_stored_d_primes(d_primes):
     assert_gated(report, "primality_congruence")
 
 
+def test_lambda_flip_names_d_primes_not_lambda_d():
+    # d_primes = (6,) gives -1, but lambda(6) = 1: the detail must not claim
+    # the stored list's parity as the true lambda(d)
+    report = verify_certificate(replace(construct_M(6, 1), d_primes=(6,)))
+    detail = {c.name: c.detail for c in report.clauses}["lambda_flip"]
+    assert detail.startswith("lambda_d = 1, but the 1 d_primes give -1")
+    assert "lambda(6)" not in report.summary()
+
+
 def test_verify_certificate_tampered_symbols():
     # e1 = 47 keeps the residue class 7 mod 8 and all derived products
     # consistent, but violates the table target (3 / e1) = -1

@@ -95,3 +95,22 @@ def test_sign_change_report_across_block_boundaries(monkeypatch):
     for d in (6, -7, 1, -49, -50, 31):
         for bound in (0, 6, 7, 8, 13, 14, 15, 60):
             assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
+
+
+@pytest.mark.parametrize(
+    "d,bound", [(10**18 + 7, 10), (10**12, 20), (10**12, 300), (3**40, 12), (10**30 + 1, 5)]
+)
+def test_sign_change_report_for_d_far_above_bound_squared(d, bound):
+    # the sieve limit stays near the bound, so residuals here can be composite
+    assert witness._sieve_limit(d, bound) < math.isqrt(bound * bound + d)
+    assert report_counts(d, bound) == direct_counts(d, bound)
+
+
+def test_sign_change_report_with_a_capped_limit(monkeypatch):
+    # a floor of 5 caps the limit at the bound, so the small values here
+    # reach both fallbacks: residuals below (limit+1)^3 by a primality
+    # test, larger ones by factoring
+    monkeypatch.setattr(witness, "_SIEVE_FLOOR", 5)
+    for d in (2000, -30, 10**5 + 3, 7 * 10**6):
+        for bound in (0, 3, 9, 20):
+            assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
