@@ -33,7 +33,7 @@ from .errors import (
 from .factor import DEFAULT_FACTOR_BUDGET, factorize
 from .forms import QuadForm
 from .genus import assigned_characters, generic_values
-from .pell import cf_sqrt, fundamental_solution, solve_generalized
+from .pell import cf_sqrt, fundamental_from_cf, solve_generalized
 from .witness import (
     BRUTE_SCAN_BOUND,
     minus_witnesses,
@@ -57,13 +57,6 @@ def _fmt_factorization(fact) -> str:
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fact.factors)
 
 
-def _factorization_json(fact) -> dict:
-    return {
-        "sign": fact.sign,
-        "factors": [[str(p), e] for p, e in fact.factors],
-    }
-
-
 def cmd_lambda(args) -> tuple[dict, str]:
     n = args.n
     if n < 1:
@@ -73,7 +66,7 @@ def cmd_lambda(args) -> tuple[dict, str]:
         "n": str(n),
         "lambda": fact.liouville,
         "big_omega": fact.big_omega,
-        "factorization": _factorization_json(fact),
+        "factorization": fact.to_json_dict(),
     }
     human = f"lambda({n}) = {fact.liouville}\n{n} = {_fmt_factorization(fact)}"
     return result, human
@@ -190,7 +183,7 @@ def cmd_pell(args) -> tuple[dict, str]:
     if args.D is None:
         raise InvalidInputError("give a discriminant D or --a/--b")
     expansion = cf_sqrt(args.D)
-    fund = fundamental_solution(args.D)
+    fund = fundamental_from_cf(expansion)
     result = {
         "D": str(args.D),
         "t": str(fund.t),

@@ -1,68 +1,43 @@
 """Integer factorization, the Liouville function, square-free core extraction,
-and prime ranges."""
+and prime ranges.
+
+One bytearray sieve (primerange) supplies every prime: the primes below 10^6
+that factorize trial-divides by, and the ranges the sign sieve divides out.
+"""
 
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
 from itertools import compress
 
 from .arith import integer_sqrt, is_prime
 from .errors import FactorBudgetExceededError, InvalidInputError
 
-_SPF_LIMIT = 10**6
-_spf_table: array | None = None
-_prime_list: list[int] | None = None
+# factorize trial-divides by every prime below this
+_TRIAL_LIMIT = 10**6
 
 # Iterations of the rho inner loop before giving up; deterministic, not wall-clock.
 DEFAULT_FACTOR_BUDGET = 4_000_000
 
 
-def _smallest_prime_factors() -> array:
-    global _spf_table
-    if _spf_table is None:
-        spf = array("i", range(_SPF_LIMIT + 1))
-        for i in range(2, math.isqrt(_SPF_LIMIT) + 1):
-            if spf[i] == i:  # i is prime
-                for j in range(i * i, _SPF_LIMIT + 1, i):
-                    if spf[j] == j:
-                        spf[j] = i
-        _spf_table = spf
-    return _spf_table
-
-
-def primes_below_million() -> list[int]:
-    """Ascending primes below 10^6, shared by trial division and sieving."""
-    global _prime_list
-    if _prime_list is None:
-        spf = _smallest_prime_factors()
-        _prime_list = [i for i in range(2, _SPF_LIMIT + 1) if spf[i] == i]
-    return _prime_list
-
-
 def primerange(lo: int, hi: int) -> list[int]:
-    """Ascending primes p with lo <= p < hi.
-
-    Primes below 10^6 are sliced from the shared list; the part of the range
-    above 10^6 is sieved here, with base primes up to sqrt(hi) found the same
-    way.
-    """
+    """Ascending primes p with lo <= p < hi, by a sieve of [lo, hi) whose base
+    primes up to sqrt(hi) come from this function."""
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    small = primes_below_million()
-    out = small[bisect_left(small, lo):bisect_left(small, hi)]
-    start = max(lo, _SPF_LIMIT + 1)
-    if hi > start:
-        candidate = bytearray(b"\x01") * (hi - start)
-        for p in primerange(2, math.isqrt(hi - 1) + 1):
-            first = max(p * p, -(-start // p) * p) - start
-            candidate[first::p] = bytes(len(range(first, hi - start, p)))
-        out += compress(range(start, hi), candidate)
-    return out
+    candidate = bytearray(b"\x01") * (hi - lo)
+    for p in primerange(2, math.isqrt(hi - 1) + 1):
+        first = max(p * p, -(-lo // p) * p) - lo
+        candidate[first::p] = bytes(len(range(first, hi - lo, p)))
+    return list(compress(range(lo, hi), candidate))
+
+
+@cache
+def _trial_primes() -> list[int]:
+    return primerange(2, _TRIAL_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -85,13 +60,8 @@ class Factorization:
     def liouville(self) -> int:
         return -1 if self.big_omega % 2 else 1
 
-    def merged_with(self, other: "Factorization") -> "Factorization":
-        counts: dict[int, int] = dict(self.factors)
-        for p, e in other.factors:
-            counts[p] = counts.get(p, 0) + e
-        return Factorization(
-            self.sign * other.sign, tuple(sorted(counts.items()))
-        )
+    def to_json_dict(self) -> dict:
+        return {"sign": self.sign, "factors": [[str(p), e] for p, e in self.factors]}
 
 
 class _Budget:
@@ -168,14 +138,7 @@ def factorize(n: int, budget: int | None = DEFAULT_FACTOR_BUDGET) -> Factorizati
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    if m <= _SPF_LIMIT:
-        spf = _smallest_prime_factors()
-        while m > 1:
-            p = spf[m]
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-        return Factorization(sign, tuple(sorted(counts.items())))
-    for p in primes_below_million():
+    for p in _trial_primes():
         if p * p > m:
             break
         if m % p == 0:
@@ -185,7 +148,7 @@ def factorize(n: int, budget: int | None = DEFAULT_FACTOR_BUDGET) -> Factorizati
                 e += 1
             counts[p] = e
     if m > 1:
-        if m < _SPF_LIMIT * _SPF_LIMIT or is_prime(m):
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             # a survivor of full trial division below 10^6 that is under 10^12
             # has no factor up to its square root, hence is prime
             counts[m] = counts.get(m, 0) + 1
@@ -216,6 +179,10 @@ def squarefree_core(n: int) -> tuple[int, int]:
 
 def merge_factorizations(parts: list[Factorization]) -> Factorization:
     """Product of several factorizations as a single factorization."""
-    if not parts:
-        return Factorization(1, ())
-    return reduce(lambda acc, f: acc.merged_with(f), parts)
+    sign = 1
+    counts: dict[int, int] = {}
+    for part in parts:
+        sign *= part.sign
+        for p, e in part.factors:
+            counts[p] = counts.get(p, 0) + e
+    return Factorization(sign, tuple(sorted(counts.items())))

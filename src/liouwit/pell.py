@@ -104,7 +104,12 @@ def fundamental_solution(D: int) -> PellFundamental:
     The period parity of sqrt(D) decides the fundamental unit's norm; an odd
     period yields the minimal solution of x^2 - D y^2 = -1 as well.
     """
-    exp = cf_sqrt(D)
+    return fundamental_from_cf(cf_sqrt(D))
+
+
+def fundamental_from_cf(exp: CFExpansion) -> PellFundamental:
+    """fundamental_solution(exp.D), read off the expansion already computed."""
+    D = exp.D
     terms = [exp.a0] + list(exp.cycle[:-1])
     p, q = _convergent(terms)
     if exp.period % 2 == 0:

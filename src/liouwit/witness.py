@@ -98,12 +98,7 @@ class Witness:
     verified: bool
 
     def to_json_dict(self) -> dict:
-        fact = None
-        if self.factorization is not None:
-            fact = {
-                "sign": self.factorization.sign,
-                "factors": [[str(p), e] for p, e in self.factorization.factors],
-            }
+        fact = self.factorization
         return {
             "d": str(self.d),
             "n": str(self.n),
@@ -111,7 +106,7 @@ class Witness:
             "lambda": self.lambda_value,
             "provenance": self.provenance,
             "verified": self.verified,
-            "factorization": fact,
+            "factorization": None if fact is None else fact.to_json_dict(),
         }
 
 
@@ -488,6 +483,11 @@ def sign_change_report(d: int, bound: int) -> SignChangeReport:
         raise InvalidInputError("d must be nonzero")
     if bound < 0:
         raise InvalidInputError(f"bound must be nonnegative, got {bound}")
+    if bound > BRUTE_SCAN_BOUND:
+        # memory for the sieve's primes and roots grows with the bound
+        raise SearchExhaustedError(
+            f"bound {bound} is above the scan limit {BRUTE_SCAN_BOUND}"
+        )
     count_minus = count_plus = 0
     first = first_change = None
     for lo, lambdas in _lambda_blocks(d, bound):

@@ -260,6 +260,42 @@ def test_sign_report_command(capsys):
     assert env["result"]["first_change_n"] == "1"
 
 
+def test_sign_report_bound_above_scan_limit_exits_4():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "liouwit.cli", "sign-report", "6", "--bound", "10000001"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == EXIT_RESOURCE_CAP
+    assert "scan limit" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_pell_command_runs_one_continued_fraction(monkeypatch, capsys):
+    from liouwit import cli, pell
+
+    calls = []
+
+    def counting(D):
+        calls.append(D)
+        return real(D)
+
+    real = pell.cf_sqrt
+    monkeypatch.setattr(pell, "cf_sqrt", counting)
+    monkeypatch.setattr(cli, "cf_sqrt", counting)
+    # a warm fundamental_solution cache would hide a second expansion
+    pell.fundamental_solution.cache_clear()
+    code, env = run_json(capsys, ["pell", "61"])
+    assert code == EXIT_OK
+    assert calls == [61]
+    assert (env["result"]["t"], env["result"]["u"]) == ("1766319049", "226153980")
+    assert env["result"]["cf_cycle"] == ["1", "4", "3", "1", "2", "2", "1", "3", "4", "1", "14"]
+
+
 def test_exit_codes_are_distinct():
     codes = {
         EXIT_OK,

@@ -1,12 +1,14 @@
-"""Property tests of the sign sieve and its parts, against direct definitions."""
+"""Property tests of factorization and of the sign sieve and its parts, against
+direct definitions and sympy as an independent oracle."""
 
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import isprime, nextprime
 
-from liouwit import liouville, sign_change_report
+from liouwit import factorize, liouville, sign_change_report
 from liouwit import witness
 from liouwit.arith import sqrt_mod
 from liouwit.errors import InvalidInputError
@@ -64,6 +66,41 @@ def test_primerange_edges():
     assert primerange(0, 30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primerange(10, 10) == primerange(20, 10) == []
     assert primerange(999_983, 1_000_004) == [999_983, 1_000_003]
+
+
+def check_factorization(n: int) -> tuple[int, ...]:
+    fact = factorize(n)
+    primes = tuple(p for p, _ in fact.factors)
+    assert fact.value == n
+    assert primes == tuple(sorted(set(primes)))
+    assert all(isprime(p) and e >= 1 for p, e in fact.factors)
+    return primes
+
+
+# factorize trial-divides by the primes below 10^6 and takes a survivor
+# under 10^12 as prime; these ranges reach both sides of both limits
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.integers(min_value=10**6 - 10**4, max_value=10**6 + 10**4),
+        st.integers(min_value=10**11, max_value=10**13),
+        st.integers(min_value=1, max_value=10**13),
+    )
+)
+def test_factorize_multiplies_back_to_primes(n):
+    check_factorization(n)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(min_value=10**6 - 3000, max_value=10**6 + 3000),
+    st.integers(min_value=10**6 - 3000, max_value=10**6 + 3000),
+    st.integers(min_value=1, max_value=12),
+)
+def test_factorize_semiprimes_near_the_trial_limit(a, b, c):
+    p, q = nextprime(a), nextprime(b)
+    primes = check_factorization(c * p * q)
+    assert p in primes and q in primes
 
 
 def direct_counts(d: int, bound: int) -> tuple[int, int, int | None]:

@@ -3,9 +3,11 @@
 import pytest
 
 from liouwit import (
+    BRUTE_SCAN_BOUND,
     InvalidInputError,
     MCertificate,
     PrimePairCertificate,
+    SearchExhaustedError,
     Witness,
     factorize,
     liouville,
@@ -220,6 +222,14 @@ def test_sign_change_report_skips_nonpositive_values():
         sign_change_report(0, 100)
     with pytest.raises(InvalidInputError):
         sign_change_report(1, -1)
+
+
+def test_sign_change_report_caps_the_bound():
+    # the sieve's memory grows with the bound; past the scan limit it stops at once
+    with pytest.raises(SearchExhaustedError, match="scan limit"):
+        sign_change_report(6, BRUTE_SCAN_BOUND + 1)
+    with pytest.raises(SearchExhaustedError):
+        sign_change_report(-7, 10**30)
 
 
 def test_json_report_shape():
