@@ -2,14 +2,14 @@
 and prime ranges.
 
 One bytearray sieve (primerange) supplies every prime: the primes below 10^6
-that factorize trial-divides by, and the ranges the sign sieve divides out.
+that factorize trial-divides by, sieved only as far as the inputs so far have
+needed, and the ranges the sign sieve divides out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress
 
 from .arith import integer_sqrt, is_prime
@@ -35,9 +35,23 @@ def primerange(lo: int, hi: int) -> list[int]:
     return list(compress(range(lo, hi), candidate))
 
 
-@cache
-def _trial_primes() -> list[int]:
-    return primerange(2, _TRIAL_LIMIT)
+class _TrialPrimes:
+    """The primes below `bound`, extended on demand up to _TRIAL_LIMIT."""
+
+    def __init__(self) -> None:
+        self.bound, self.primes = 2, []
+
+    def below(self, limit: int) -> list[int]:
+        """A list that holds every prime below min(limit, _TRIAL_LIMIT)."""
+        if limit > self.bound and self.bound < _TRIAL_LIMIT:
+            # at least doubling keeps the sieve calls logarithmic in number
+            hi = min(_TRIAL_LIMIT, max(limit, 2 * self.bound))
+            self.primes += primerange(self.bound, hi)
+            self.bound = hi
+        return self.primes
+
+
+_trial_primes = _TrialPrimes()
 
 
 @dataclass(frozen=True)
@@ -138,7 +152,7 @@ def factorize(n: int, budget: int | None = DEFAULT_FACTOR_BUDGET) -> Factorizati
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _trial_primes.below(math.isqrt(m) + 1):
         if p * p > m:
             break
         if m % p == 0:

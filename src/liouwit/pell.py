@@ -1,13 +1,20 @@
-"""Pell equations via continued fractions, and the generalized forms a x^2 - b y^2 = eps."""
+"""Pell equations via continued fractions, and the generalized forms a x^2 - b y^2 = eps.
+
+Everything is read off the middle of the period of sqrt(D) (Perron, Die Lehre
+von den Kettenbruechen, section 26): cf_sqrt walks half the period and mirrors
+the rest, fundamental_from_cf keeps the midpoint convergent, which is the
+square root of the fundamental unit up to a small factor, and the solutions of
+a x^2 - b y^2 = eps with ab = D are read off that square root.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import integer_sqrt, jacobi
-from .errors import InternalInvariantError, InvalidInputError
+from .errors import InternalInvariantError, InvalidInputError, SearchExhaustedError
 from .factor import factorize
 from .forms import (
     QuadForm,
@@ -18,6 +25,11 @@ from .forms import (
 
 # agreement window for the double-entry brute check inside solve_generalized
 CROSS_CHECK_Y_BOUND = 10**4
+
+# cf_sqrt refuses a period of this length or more; even, so that the half
+# walk stops exactly there. Twice the longest period any test or benchmark
+# request reaches: 918,548, for the d = 330 M-certificate.
+MAX_CF_PERIOD = 2**21
 
 
 @dataclass(frozen=True)
@@ -35,13 +47,31 @@ class CFExpansion:
 
 @dataclass(frozen=True)
 class PellFundamental:
-    """Minimal (t, u) with t^2 - D u^2 = 1, plus the fundamental unit's norm."""
+    """Minimal (t, u) with t^2 - D u^2 = 1, kept as its square root.
+
+    t + u sqrt(D) = (p + q sqrt(D))^2 / |N| with N = p^2 - D q^2. N = -1
+    exactly when the fundamental unit has norm -1, and then (p, q) is the
+    minimal solution of x^2 - D y^2 = -1. The full-size t and u are built on
+    first read.
+    """
 
     D: int
-    t: int
-    u: int
+    p: int
+    q: int
+    N: int
     unit_norm: int
-    neg_solution: tuple[int, int] | None
+
+    @cached_property
+    def t(self) -> int:
+        return (self.p * self.p + self.D * self.q * self.q) // abs(self.N)
+
+    @cached_property
+    def u(self) -> int:
+        return 2 * self.p * self.q // abs(self.N)
+
+    @property
+    def neg_solution(self) -> tuple[int, int] | None:
+        return (self.p, self.q) if self.unit_norm == -1 else None
 
 
 @dataclass(frozen=True)
@@ -62,25 +92,38 @@ class GeneralizedSolution:
 
 
 def cf_sqrt(D: int) -> CFExpansion:
-    """Continued fraction of sqrt(D) for non-square D > 0; cycle ends at 2*a0."""
+    """Continued fraction of sqrt(D) for non-square D > 0; cycle ends at 2*a0.
+
+    With (P_k + sqrt(D)) / Q_k the complete quotients, the walk stops at the
+    first h with Q_h = Q_{h+1} (period 2h + 1) or P_h = P_{h+1} (period 2h),
+    and the rest of the cycle is the mirror image of a_1 .. a_h. A period of
+    MAX_CF_PERIOD or more raises SearchExhaustedError.
+    """
     if D <= 0:
         raise InvalidInputError(f"need positive D, got {D}")
     a0, exact = integer_sqrt(D)
     if exact:
         raise InvalidInputError(f"{D} is a perfect square")
-    cycle = []
-    m, q, a = 0, 1, a0
-    while True:
-        m = q * a - m
-        q = (D - m * m) // q
+    half: list[int] = []
+    # Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), started from Q_{-1} = D
+    m, q, q_prev, a = 0, 1, D, a0
+    for _ in range(MAX_CF_PERIOD // 2):
+        m_next = q * a - m
+        q_next = q_prev + a * (m - m_next)
+        if q_next == q:
+            return CFExpansion(D, a0, (*half, *half[::-1], 2 * a0))
+        if m_next == m:
+            return CFExpansion(D, a0, (*half, *half[-2::-1], 2 * a0))
+        m, q_prev, q = m_next, q, q_next
         a = (a0 + m) // q
-        cycle.append(a)
-        if q == 1:  # the state returns to the start exactly once per period
-            return CFExpansion(D, a0, tuple(cycle))
+        half.append(a)
+    raise SearchExhaustedError(
+        f"the continued fraction of sqrt({D}) has a period of {MAX_CF_PERIOD} or more"
+    )
 
 
-def _convergent(terms: list[int]) -> tuple[int, int]:
-    """Numerator and denominator of [t0; t1, ..., tk] by balanced matrix products."""
+def _convergent(terms: list[int]) -> tuple[int, int, int, int]:
+    """(p_k, p_{k-1}, q_k, q_{k-1}) of [t0; t1, ..., tk] by balanced matrix products."""
     mats = [(t, 1, 1, 0) for t in terms]
     while len(mats) > 1:
         nxt = []
@@ -93,8 +136,7 @@ def _convergent(terms: list[int]) -> tuple[int, int]:
         if len(mats) % 2:
             nxt.append(mats[-1])
         mats = nxt
-    a, _, c, _ = mats[0]
-    return a, c
+    return mats[0]
 
 
 @lru_cache(maxsize=4096)
@@ -108,39 +150,42 @@ def fundamental_solution(D: int) -> PellFundamental:
 
 
 def fundamental_from_cf(exp: CFExpansion) -> PellFundamental:
-    """fundamental_solution(exp.D), read off the expansion already computed."""
-    D = exp.D
-    terms = [exp.a0] + list(exp.cycle[:-1])
-    p, q = _convergent(terms)
-    if exp.period % 2 == 0:
-        fund = PellFundamental(D, p, q, 1, None)
+    """fundamental_solution(exp.D), read off the expansion already computed.
+
+    For a period L = 2h the midpoint pair is (p, q) = (p_{h-1}, q_{h-1}), the
+    convergent before the middle, with N = p^2 - D q^2 = +-Q_h. For L = 2h + 1
+    it is the minimal solution of x^2 - D y^2 = -1, x = p_h q_h + p_{h-1} q_{h-1},
+    y = q_h^2 + q_{h-1}^2, with N = -1.
+    """
+    D, h = exp.D, exp.period // 2
+    if exp.period % 2:
+        p1, p0, q1, q0 = _convergent([exp.a0, *exp.cycle[:h]])
+        p, q, norm = p1 * q1 + p0 * q0, q1 * q1 + q0 * q0, -1
     else:
-        t = p * p + D * q * q
-        u = 2 * p * q
-        fund = PellFundamental(D, t, u, -1, (p, q))
-    if fund.t * fund.t - D * fund.u * fund.u != 1:
+        p, _, q, _ = _convergent([exp.a0, *exp.cycle[: h - 1]])
+        norm = 1
+    N = p * p - D * q * q
+    # t = (p^2 + D q^2) / |N| and u = 2pq / |N| give t^2 - D u^2 = N^2 / N^2,
+    # so N | p^2 + D q^2 and N | 2pq stand in for the full-size check
+    n = abs(N)
+    pn, qn = p % n, q % n
+    if (N == -1) != (norm == -1) or (pn * pn + D * qn * qn) % n or 2 * pn * qn % n:
         raise InternalInvariantError(f"Pell recurrence failed for D={D}")
-    return fund
+    return PellFundamental(D, p, q, N, norm)
 
 
-def _exact_ratio_square(num: int, den: int) -> int | None:
-    """x with x^2 = num/den when that quotient is a perfect square, else None."""
-    if num <= 0 or num % den:
-        return None
-    root, exact = integer_sqrt(num // den)
-    return root if exact else None
+def _extract(a: int, b: int, eps: int, fund: PellFundamental) -> tuple[int, int] | None:
+    """Minimal (x, y) with a x^2 - b y^2 = eps, read off the midpoint pair.
 
-
-def _extract(a: int, b: int, eps: int, t: int) -> tuple[int, int] | None:
-    if eps == 1:
-        x, y = _exact_ratio_square(t + 1, 2 * a), _exact_ratio_square(t - 1, 2 * b)
-    elif eps == -1:
-        x, y = _exact_ratio_square(t - 1, 2 * a), _exact_ratio_square(t + 1, 2 * b)
-    elif eps == 2:
-        x, y = _exact_ratio_square(t + 1, a), _exact_ratio_square(t - 1, b)
-    else:  # eps == -2
-        x, y = _exact_ratio_square(t - 1, a), _exact_ratio_square(t + 1, b)
-    if x is None or y is None or x == 0 or y == 0:
+    A solution satisfies (x sqrt(a) + y sqrt(b))^2 = |eps| (t + u sqrt(D)), so
+    its multiple by sqrt(a) (or sqrt(b)) is the midpoint p + q sqrt(D).
+    """
+    p, q, N = fund.p, fund.q, fund.N
+    if N == eps * a and p % a == 0:
+        x, y = p // a, q
+    elif N == -eps * b and p % b == 0:
+        x, y = q, p // b
+    else:
         return None
     if abs(eps) == 2 and x * y % 2 == 0:
         return None
@@ -189,8 +234,8 @@ def solve_generalized(a: int, b: int, eps: int) -> GeneralizedSolution | None:
     """Minimal positive solution of a x^2 - b y^2 = eps, or None if unsolvable.
 
     eps is one of 1, -1, 2, -2; solutions with |eps| = 2 must have xy odd.
-    Solutions are extracted from the fundamental solution of D = ab through
-    exact square tests, then replayed against a bounded brute-force scan;
+    Solutions are read off the midpoint pair of the fundamental solution of
+    D = ab, then replayed against a bounded brute-force scan;
     any disagreement raises InternalInvariantError.
     """
     if a < 1 or b < 1:
@@ -209,10 +254,8 @@ def solve_generalized(a: int, b: int, eps: int) -> GeneralizedSolution | None:
         solution = (fund.t, fund.u)
     elif b == 1 and eps == -1:
         solution = (fund.u, fund.t)
-    elif a == 1 and eps == -1:
-        solution = fund.neg_solution
     else:
-        solution = _extract(a, b, eps, fund.t)
+        solution = _extract(a, b, eps, fund)
 
     # scanning past the claimed minimum is pointless: only a smaller hit matters
     window = CROSS_CHECK_Y_BOUND

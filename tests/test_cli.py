@@ -275,6 +275,22 @@ def test_sign_report_bound_above_scan_limit_exits_4():
     assert "Traceback" not in run.stderr
 
 
+def test_construct_m_beyond_period_budget_exits_4():
+    # D = 2310 M is 75 bits; the period of sqrt(D) runs past MAX_CF_PERIOD
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "liouwit.cli", "construct-m", "2310", "--t", "-1", "--json"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == EXIT_RESOURCE_CAP
+    assert "period of 2097152 or more" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_pell_command_runs_one_continued_fraction(monkeypatch, capsys):
     from liouwit import cli, pell
 

@@ -11,6 +11,7 @@ from liouwit import (
     merge_factorizations,
     squarefree_core,
 )
+from liouwit import factor
 
 
 def test_factorize_pinned():
@@ -22,6 +23,14 @@ def test_factorize_pinned():
     assert factorize(2**10) == Factorization(1, ((2, 10),))
     with pytest.raises(InvalidInputError):
         factorize(0)
+
+
+def test_factorize_sieves_trial_primes_only_as_far_as_needed(monkeypatch):
+    monkeypatch.setattr(factor, "_trial_primes", factor._TrialPrimes())
+    assert factorize(12) == Factorization(1, ((2, 2), (3, 1)))
+    assert factor._trial_primes.primes == [2, 3]
+    assert factorize(1_000_003 * 999_983).factors == ((999_983, 1), (1_000_003, 1))
+    assert len(factor._trial_primes.primes) == 78_498
 
 
 def test_factorize_value_roundtrip():

@@ -1,11 +1,14 @@
 """Unit tests for continued fractions, Pell solutions, and the candidate scan."""
 
+import math
+
 import pytest
 
 from liouwit import (
     GeneralizedSolution,
     InvalidInputError,
     QuadForm,
+    SearchExhaustedError,
     cf_sqrt,
     fundamental_solution,
     integer_sqrt,
@@ -14,6 +17,7 @@ from liouwit import (
     solve_generalized,
     unit_norm,
 )
+from liouwit import pell
 
 
 def test_cf_sqrt_pinned():
@@ -139,3 +143,60 @@ def test_principal_class_ambiguous_consistency():
         form, sol = hit
         assert form.discriminant == 4 * D
         assert sol.check()
+
+
+def test_cf_sqrt_period_budget(monkeypatch):
+    # with an even budget, a period below it is expanded, one at or above it refused
+    monkeypatch.setattr(pell, "MAX_CF_PERIOD", 12)
+    assert cf_sqrt(61).period == 11
+    monkeypatch.setattr(pell, "MAX_CF_PERIOD", 10)
+    with pytest.raises(SearchExhaustedError):
+        cf_sqrt(61)
+    monkeypatch.setattr(pell, "MAX_CF_PERIOD", 8)
+    assert cf_sqrt(19).cycle == (2, 1, 3, 1, 2, 8)
+    monkeypatch.setattr(pell, "MAX_CF_PERIOD", 6)
+    with pytest.raises(SearchExhaustedError):
+        cf_sqrt(19)
+    assert cf_sqrt(13).period == 5
+
+
+def test_solve_generalized_leaves_the_unit_unbuilt():
+    fundamental_solution.cache_clear()
+    assert solve_generalized(1705, 6, 1) == GeneralizedSolution(1705, 6, 1, 7, 118)
+    fund = fundamental_solution(1705 * 6)
+    assert "t" not in vars(fund) and "u" not in vars(fund)
+    assert fund.t * fund.t - fund.D * fund.u * fund.u == 1
+
+
+def _ratio_square(num, den):
+    if num <= 0 or num % den:
+        return None
+    root = math.isqrt(num // den)
+    return root if root * root == num // den else None
+
+
+def extract_by_square_roots(a, b, eps, t):
+    """The extraction the midpoint method replaced: x^2 and y^2 are
+    (t +- 1) / a and (t -+ 1) / b, halved when |eps| = 1."""
+    k = 2 // abs(eps)
+    plus, minus = (t + 1, t - 1) if eps > 0 else (t - 1, t + 1)
+    x, y = _ratio_square(plus, k * a), _ratio_square(minus, k * b)
+    if not x or not y or (abs(eps) == 2 and x * y % 2 == 0):
+        return None
+    return x, y
+
+
+def test_extract_matches_square_root_extraction():
+    cases = 0
+    for D in range(2, 5000):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        fund = fundamental_solution(D)
+        for a in range(1, D + 1):
+            if D % a or math.gcd(a, D // a) != 1:
+                continue
+            for eps in (1, -1, 2, -2):
+                want = extract_by_square_roots(a, D // a, eps, fund.t)
+                assert pell._extract(a, D // a, eps, fund) == want, (a, D // a, eps)
+                cases += 1
+    assert cases > 100_000

@@ -1,5 +1,6 @@
-"""Property tests of factorization and of the sign sieve and its parts, against
-direct definitions and sympy as an independent oracle."""
+"""Property tests of factorization, of the sign sieve and its parts, and of the
+half-period Pell expansion, against direct definitions and sympy as an
+independent oracle."""
 
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
-from liouwit import factorize, liouville, sign_change_report
+from liouwit import cf_sqrt, factorize, fundamental_solution, liouville, sign_change_report
 from liouwit import witness
 from liouwit.arith import sqrt_mod
 from liouwit.errors import InvalidInputError
@@ -151,3 +152,38 @@ def test_sign_change_report_with_a_capped_limit(monkeypatch):
     for d in (2000, -30, 10**5 + 3, 7 * 10**6):
         for bound in (0, 3, 9, 20):
             assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
+
+
+def full_period(D: int) -> tuple[int, list[int]]:
+    """a0 and the cycle of sqrt(D), walked until Q returns to 1."""
+    a0 = math.isqrt(D)
+    cycle, m, q, a = [], 0, 1, a0
+    while q != 1 or not cycle:
+        m = q * a - m
+        q = (D - m * m) // q
+        a = (a0 + m) // q
+        cycle.append(a)
+    return a0, cycle
+
+
+def unit_from_full_period(D: int) -> tuple[int, int]:
+    """t + u sqrt(D), the convergent p_{L-1} / q_{L-1} squared when L is odd."""
+    a0, cycle = full_period(D)
+    p0, p1, q0, q1 = 1, a0, 0, 1
+    for a in cycle[:-1]:
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+    if len(cycle) % 2:
+        return p1 * p1 + D * q1 * q1, 2 * p1 * q1
+    return p1, q1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=10**8).filter(lambda D: math.isqrt(D) ** 2 != D))
+def test_half_period_pell_matches_the_full_period(D):
+    exp = cf_sqrt(D)
+    *body, last = exp.cycle
+    assert body == body[::-1] and last == 2 * exp.a0
+    assert (exp.a0, list(exp.cycle)) == full_period(D)
+    fund = fundamental_solution(D)
+    assert (fund.t, fund.u) == unit_from_full_period(D)
+    assert fund.unit_norm == (-1 if exp.period % 2 else 1)
