@@ -112,8 +112,9 @@ def cmd_witness(args) -> tuple[dict, str]:
         "core": str(shape.core),
         "scale": str(shape.scale),
     }
-    if shape.certificate is not None:
-        plan_json["certificate"] = shape.certificate.to_json_dict()
+    certificate = shape.certificate_for(args.sign)
+    if certificate is not None:
+        plan_json["certificate"] = certificate.to_json_dict()
     result = {
         "plan": plan_json,
         "witnesses": [w.to_json_dict() for w in witnesses],

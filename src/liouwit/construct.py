@@ -39,7 +39,7 @@ from .errors import (
 )
 from .factor import factorize
 from .forms import QuadForm, enumerate_ambiguous_candidates
-from .genus import in_principal_genus
+from .genus import assigned_characters, generic_values
 from .pell import GeneralizedSolution, principal_class_ambiguous, solve_generalized, unit_norm
 
 # successive e2 re-rolls are coin-flip events for which ambiguous class is
@@ -310,12 +310,17 @@ def _allowed_residues(top: int, bottom_mod4: int, target: int) -> frozenset[int]
     if top < 3 or top % 2 == 0:
         raise InternalInvariantError(f"constraint tops must be odd primes, got {top}")
     flip = -1 if (top % 4 == 3 and bottom_mod4 == 3) else 1
-    want = target * flip
-    return frozenset(c for c in range(1, top) if jacobi(c, top) == want)
+    return _jacobi_class_set(top, target * flip)
 
 
-def _jacobi_class_set(modulus: int, want: int) -> frozenset[int]:
-    return frozenset(c for c in range(1, modulus) if jacobi(c, modulus) == want)
+def _jacobi_class_set(p: int, want: int) -> frozenset[int]:
+    """Residues c mod the odd prime p with (c / p) = want, for want = +-1.
+
+    The quadratic residues are the squares of 1, ..., (p - 1)/2; the
+    non-residues are the rest of 1, ..., p - 1.
+    """
+    squares = frozenset(c * c % p for c in range(1, (p + 1) // 2))
+    return squares if want == 1 else frozenset(range(1, p)) - squares
 
 
 def residue_constraints(
@@ -552,10 +557,15 @@ def _clause_genus(D: int, predicted: QuadForm) -> tuple[list[str], str]:
 
     Half candidates exist only for D = 3 mod 4 (never for a prime pair, whose
     D = p e1 e2 is 1 mod 4); principal-genus ones are recorded in the note.
+    The assigned characters of 4D are built once, and a candidate is in the
+    principal genus when all its generic values are +1.
     """
     candidates = enumerate_ambiguous_candidates(D)
-    split_passers = [f for f in candidates.split_forms if in_principal_genus(f)]
-    half_passers = [f for f in candidates.half_forms if in_principal_genus(f)]
+    system = assigned_characters(D)
+    split_passers, half_passers = (
+        [f for f in forms if generic_values(f, system).all_ones]
+        for forms in (candidates.split_forms, candidates.half_forms)
+    )
     problems = []
     if split_passers != [predicted]:
         problems.append(

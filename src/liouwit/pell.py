@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
-from .arith import integer_sqrt, jacobi
+from .arith import integer_sqrt, jacobi, sqrt_mod
 from .errors import InternalInvariantError, InvalidInputError, SearchExhaustedError
 from .factor import factorize
 from .forms import (
@@ -122,21 +122,39 @@ def cf_sqrt(D: int) -> CFExpansion:
     )
 
 
-def _convergent(terms: list[int]) -> tuple[int, int, int, int]:
-    """(p_k, p_{k-1}, q_k, q_{k-1}) of [t0; t1, ..., tk] by balanced matrix products."""
+_Matrix = tuple[int, int, int, int]
+
+
+def _mul(m: _Matrix, n: _Matrix) -> _Matrix:
+    """The 2x2 product m n, both read row by row."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _halve_to_two(terms: list[int]) -> list[_Matrix]:
+    """Balanced products of the matrices [[t, 1], [1, 0]], down to one or two."""
     mats = [(t, 1, 1, 0) for t in terms]
-    while len(mats) > 1:
-        nxt = []
-        for i in range(0, len(mats) - 1, 2):
-            a, b, c, d = mats[i]
-            e, f, g, h = mats[i + 1]
-            nxt.append(
-                (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            )
+    while len(mats) > 2:
+        nxt = [_mul(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
         if len(mats) % 2:
             nxt.append(mats[-1])
         mats = nxt
-    return mats[0]
+    return mats
+
+
+def _convergent(terms: list[int]) -> _Matrix:
+    """(p_k, p_{k-1}, q_k, q_{k-1}) of [t0; t1, ..., tk] by balanced matrix products."""
+    return reduce(_mul, _halve_to_two(terms))
+
+
+def _convergent_pq(terms: list[int]) -> tuple[int, int]:
+    """(p_k, q_k) of [t0; t1, ..., tk]: only the first column of the top product."""
+    (a, b, c, d), *rest = _halve_to_two(terms)
+    if not rest:
+        return a, c
+    e, _, g, _ = rest[0]
+    return a * e + b * g, c * e + d * g
 
 
 @lru_cache(maxsize=4096)
@@ -162,7 +180,7 @@ def fundamental_from_cf(exp: CFExpansion) -> PellFundamental:
         p1, p0, q1, q0 = _convergent([exp.a0, *exp.cycle[:h]])
         p, q, norm = p1 * q1 + p0 * q0, q1 * q1 + q0 * q0, -1
     else:
-        p, _, q, _ = _convergent([exp.a0, *exp.cycle[: h - 1]])
+        p, q = _convergent_pq([exp.a0, *exp.cycle[: h - 1]])
         norm = 1
     N = p * p - D * q * q
     # t = (p^2 + D q^2) / |N| and u = 2pq / |N| give t^2 - D u^2 = N^2 / N^2,
@@ -192,21 +210,19 @@ def _extract(a: int, b: int, eps: int, fund: PellFundamental) -> tuple[int, int]
     return x, y
 
 
-def _local_obstruction(a: int, b: int, eps: int) -> bool:
+def _local_obstruction(a: int, b: int, eps: int, a_primes: list[int]) -> bool:
     """True when a x^2 - b y^2 = eps is insoluble for congruence reasons."""
     if abs(eps) == 2:
         # xy odd forces x^2 = y^2 = 1 mod 8, hence a - b = eps mod 8
         if (a - b - eps) % 8:
             return True
-    for p in factorize(a).factors:
-        p = p[0]
+    for p in a_primes:
         if p == 2:
             continue
         # mod p | a the equation reads -b y^2 = eps, so -eps/b must be square
         if jacobi(-eps * pow(b, -1, p) % p, p) == -1:
             return True
-    for p in factorize(b).factors:
-        p = p[0]
+    for p, _ in factorize(b).factors:
         if p == 2:
             continue
         if jacobi(eps * pow(a, -1, p) % p, p) == -1:
@@ -215,18 +231,41 @@ def _local_obstruction(a: int, b: int, eps: int) -> bool:
 
 
 def _brute_minimal(a: int, b: int, eps: int, y_bound: int) -> tuple[int, int] | None:
-    """Smallest-y solution with y <= y_bound, by direct scan."""
-    if _local_obstruction(a, b, eps):
+    """Smallest-y solution with y <= y_bound, by a scan of the y with a | b y^2 + eps.
+
+    For each prime p of a such y are the square roots of -eps/b mod p, so the
+    scan walks only their CRT classes. Primes of a join the modulus in
+    ascending order while it stays at most y_bound; the primes left out, and
+    the prime powers of a, are caught by the divisibility test itself.
+    """
+    a_primes = [p for p, _ in factorize(a).factors]
+    if _local_obstruction(a, b, eps, a_primes):
         return None
-    for y in range(1, y_bound + 1):
-        num = b * y * y + eps
-        if num <= 0 or num % a:
-            continue
-        x, exact = integer_sqrt(num // a)
-        if exact and x > 0:
-            if abs(eps) == 2 and x * y % 2 == 0:
+    modulus, classes = 1, [0]
+    for p in a_primes:
+        if modulus * p > y_bound:
+            break
+        # not an obstruction, so -eps/b is a square mod p (0 only for p = 2)
+        root = sqrt_mod(-eps * pow(b, -1, p), p)
+        lift = pow(modulus, -1, p)
+        classes = [
+            c + modulus * ((r - c) * lift % p) for c in classes for r in {root, -root % p}
+        ]
+        modulus *= p
+    classes.sort()
+    for base in range(0, y_bound + 1, modulus):
+        for c in classes:
+            y = base + c
+            if y > y_bound:
+                return None
+            num = b * y * y + eps
+            if y == 0 or num <= 0 or num % a:
                 continue
-            return x, y
+            x, exact = integer_sqrt(num // a)
+            if exact and x > 0:
+                if abs(eps) == 2 and x * y % 2 == 0:
+                    continue
+                return x, y
     return None
 
 
@@ -235,8 +274,9 @@ def solve_generalized(a: int, b: int, eps: int) -> GeneralizedSolution | None:
 
     eps is one of 1, -1, 2, -2; solutions with |eps| = 2 must have xy odd.
     Solutions are read off the midpoint pair of the fundamental solution of
-    D = ab, then replayed against a bounded brute-force scan;
-    any disagreement raises InternalInvariantError.
+    D = ab, then replayed against a brute-force scan of the y below the
+    claimed one (at most CROSS_CHECK_Y_BOUND) with a | b y^2 + eps; any
+    disagreement raises InternalInvariantError.
     """
     if a < 1 or b < 1:
         raise InvalidInputError(f"need positive a, b; got ({a}, {b})")

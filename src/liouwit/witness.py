@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, jacobi, sqrt_mod
@@ -112,13 +113,27 @@ class Witness:
 
 @dataclass(frozen=True)
 class WitnessPlan:
-    """Shape analysis of d: core, scale, strategy branch, and any certificate."""
+    """Shape analysis of d: core, scale, strategy branch, and any certificate.
+
+    The certificate is built on first read, so a sign whose recipe does not
+    use it never pays for its construction.
+    """
 
     d: int
     core: int
     scale: int
     branch: str
-    certificate: MCertificate | PrimePairCertificate | None = None
+    cap: int = DEFAULT_PRIME_SEARCH_CAP
+
+    @cached_property
+    def certificate(self) -> MCertificate | PrimePairCertificate | None:
+        build = _CERTIFICATE_BUILDERS.get(self.branch)
+        return None if build is None else build(abs(self.core), self.cap)
+
+    def certificate_for(self, want: int) -> MCertificate | PrimePairCertificate | None:
+        """The certificate the recipe of sign `want` reads, or None if it reads none."""
+        recipe = _RECIPES.get((self.branch, want))
+        return self.certificate if recipe is not None and recipe[0] is None else None
 
 
 @dataclass(frozen=True)
@@ -144,30 +159,33 @@ class SignChangeReport:
 
 
 def plan(d: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> WitnessPlan:
-    """Pick the witness strategy for d and build any certificate it needs."""
+    """Pick the witness strategy for d; its certificate is built on first read."""
     if d == 0:
         raise InvalidInputError("d must be nonzero")
     core, scale = squarefree_core(d)
     d0 = abs(core)
     if d0 == 1:
-        return WitnessPlan(d, core, scale, BRANCH_SQUARE_CORE)
-    if is_prime(d0):
+        branch = BRANCH_SQUARE_CORE
+    elif is_prime(d0):
         if core > 0:
-            return WitnessPlan(d, core, scale, BRANCH_PRIME_PLUS)
-        if d0 == 2 or d0 % 4 == 1:
-            return WitnessPlan(d, core, scale, BRANCH_PRIME_MINUS_1MOD4)
-        return WitnessPlan(
-            d, core, scale, BRANCH_PRIME_MINUS_3MOD4, construct_prime_pair(d0, cap)
-        )
-    if core > 0:
-        if liouville(d0) == -1:
-            return WitnessPlan(d, core, scale, BRANCH_COMPOSITE_DIRECT)
-        return WitnessPlan(
-            d, core, scale, BRANCH_COMPOSITE_CERT_PLUS, construct_M(d0, 1, cap)
-        )
-    return WitnessPlan(
-        d, core, scale, BRANCH_COMPOSITE_CERT_MINUS, construct_M(d0, -1, cap)
-    )
+            branch = BRANCH_PRIME_PLUS
+        elif d0 == 2 or d0 % 4 == 1:
+            branch = BRANCH_PRIME_MINUS_1MOD4
+        else:
+            branch = BRANCH_PRIME_MINUS_3MOD4
+    elif core > 0:
+        branch = BRANCH_COMPOSITE_DIRECT if liouville(d0) == -1 else BRANCH_COMPOSITE_CERT_PLUS
+    else:
+        branch = BRANCH_COMPOSITE_CERT_MINUS
+    return WitnessPlan(d, core, scale, branch, cap)
+
+
+# branch -> builder of its certificate from (|core|, cap)
+_CERTIFICATE_BUILDERS = {
+    BRANCH_PRIME_MINUS_3MOD4: construct_prime_pair,
+    BRANCH_COMPOSITE_CERT_PLUS: lambda d0, cap: construct_M(d0, 1, cap),
+    BRANCH_COMPOSITE_CERT_MINUS: lambda d0, cap: construct_M(d0, -1, cap),
+}
 
 
 def _solution_stream(first: GeneralizedSolution):

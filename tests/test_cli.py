@@ -321,3 +321,26 @@ def test_exit_codes_are_distinct():
         EXIT_INTERNAL_ASSERTION,
     }
     assert codes == {0, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("d", ["-2310", "30030"])
+def test_witness_plus_sign_builds_no_certificate(d):
+    # the + sign reads no M certificate; building the one of this d would
+    # run past MAX_CF_PERIOD and exit 4
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "liouwit.cli", "witness", d, "--sign", "1", "--count", "3",
+         "--json"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == EXIT_OK
+    assert "Traceback" not in run.stderr
+    result = json.loads(run.stdout)["result"]
+    assert "certificate" not in result["plan"]
+    witnesses = result["witnesses"]
+    assert sum(w["verified"] for w in witnesses) >= 3
+    assert all(w["lambda"] == 1 for w in witnesses)

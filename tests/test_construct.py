@@ -417,3 +417,31 @@ def test_report_summary_format():
     )
     bad = verify_certificate(replace(construct_M(6, 1), e2=13))
     assert "FAIL" in bad.summary()
+
+
+def test_jacobi_class_sets_match_the_jacobi_symbol():
+    from liouwit.arith import is_prime, jacobi
+    from liouwit.construct import _jacobi_class_set
+
+    for p in range(3, 3000, 2):
+        if not is_prime(p):
+            continue
+        for want in (1, -1):
+            expected = frozenset(c for c in range(1, p) if jacobi(c, p) == want)
+            assert _jacobi_class_set(p, want) == expected, (p, want)
+
+
+def test_genus_clause_assigns_the_characters_once(monkeypatch):
+    from liouwit import construct
+
+    cert = construct_M(210, -1)
+    calls = []
+    real = construct.assigned_characters
+
+    def counting(D):
+        calls.append(D)
+        return real(D)
+
+    monkeypatch.setattr(construct, "assigned_characters", counting)
+    assert verify_certificate(cert).passed
+    assert calls == [cert.D]

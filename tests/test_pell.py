@@ -200,3 +200,43 @@ def test_extract_matches_square_root_extraction():
                 assert pell._extract(a, D // a, eps, fund) == want, (a, D // a, eps)
                 cases += 1
     assert cases > 100_000
+
+
+def plain_scan(a, b, eps, y_bound, y_classes):
+    """Smallest-y solution with y <= y_bound, over every y in y_classes mod a."""
+    for y in sorted(base + r for base in range(0, y_bound + 1, a) for r in y_classes):
+        if 1 <= y <= y_bound:
+            v = (b * y * y + eps) // a
+            x = math.isqrt(v)
+            if x * x == v and x > 0 and (abs(eps) == 1 or x * y % 2):
+                return x, y
+    return None
+
+
+def test_brute_minimal_matches_the_plain_scan():
+    # The oracle visits every y up to the window whose class mod a passes the
+    # plain test a | b y^2 + eps, one period of y scanned residue by residue;
+    # _brute_minimal gets its classes from square roots and the CRT instead.
+    # Windows 1 and 37 run on every split of D < 3000, the full window of
+    # 10^4 on every split of D < 1000 with a > 1 (a = 1 has a single class,
+    # so both then visit every y).
+    cases = 0
+    for D in range(2, 3000):
+        if any(D % (p * p) == 0 for p in range(2, math.isqrt(D) + 1)):
+            continue
+        if math.isqrt(D) ** 2 == D:
+            continue
+        for a in range(1, D + 1):
+            if D % a:
+                continue
+            b = D // a
+            windows = (1, 37, 10**4) if a > 1 and D < 1000 else (1, 37)
+            period = [b * r * r % a for r in range(min(a, windows[-1] + 1))]
+            for eps in (1, -1, 2, -2):
+                y_classes = [r for r, v in enumerate(period) if (v + eps) % a == 0]
+                want = plain_scan(a, b, eps, windows[-1], y_classes)
+                for window in windows:
+                    fits = want if want is not None and want[1] <= window else None
+                    assert pell._brute_minimal(a, b, eps, window) == fits, (a, b, eps, window)
+                    cases += 1
+    assert cases > 75_000

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
 from liouwit import cf_sqrt, factorize, fundamental_solution, liouville, sign_change_report
-from liouwit import witness
+from liouwit import pell, witness
 from liouwit.arith import sqrt_mod
 from liouwit.errors import InvalidInputError
 from liouwit.factor import primerange
@@ -187,3 +187,19 @@ def test_half_period_pell_matches_the_full_period(D):
     fund = fundamental_solution(D)
     assert (fund.t, fund.u) == unit_from_full_period(D)
     assert fund.unit_norm == (-1 if exp.period % 2 else 1)
+
+
+def product_left_to_right(terms: list[int]) -> tuple[int, int, int, int]:
+    """[[t0, 1], [1, 0]] ... [[tk, 1], [1, 0]] multiplied one matrix at a time."""
+    a, b, c, d = 1, 0, 0, 1
+    for t in terms:
+        a, b, c, d = a * t + b, a, c * t + d, c
+    return a, b, c, d
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=300))
+def test_first_column_top_product_matches_the_full_product(terms):
+    full = product_left_to_right(terms)
+    assert pell._convergent(terms) == full
+    assert pell._convergent_pq(terms) == (full[0], full[2])
