@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_PRIME_SEARCH_CAP,
                    help="prime search cap (default %(default)s)")
     p.add_argument("--budget", type=int, default=DEFAULT_FACTOR_BUDGET,
-                   help="factorization work budget (default %(default)s)")
+                   help="rho iterations per brute-scan value; a Pell coordinate "
+                   "gets a quarter, after the primes already found are divided "
+                   "out (default %(default)s)")
     p.add_argument("--scan-bound", type=int, default=BRUTE_SCAN_BOUND,
                    dest="scan_bound",
                    help="brute scan bound (default %(default)s)")

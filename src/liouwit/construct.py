@@ -37,7 +37,7 @@ from .errors import (
     LiouwitError,
     SearchExhaustedError,
 )
-from .factor import factorize
+from .factor import squarefree_primes
 from .forms import QuadForm, enumerate_ambiguous_candidates
 from .genus import assigned_characters, generic_values
 from .pell import GeneralizedSolution, principal_class_ambiguous, solve_generalized, unit_norm
@@ -237,16 +237,10 @@ def _split_sides(d: int, M: int, t: int) -> tuple[int, int]:
 
 def ordered_prime_list(d: int) -> tuple[int, ...]:
     """Primes of square-free composite d: odd primes ascending, then 2 last."""
-    if d < 2:
-        raise InvalidInputError(f"need a positive integer >= 2, got {d}")
-    fac = factorize(d)
-    if any(e != 1 for _, e in fac.factors):
-        raise InvalidInputError(f"{d} is not square-free")
-    if len(fac.factors) < 2:
+    primes = squarefree_primes(d)
+    if len(primes) < 2:
         raise InvalidInputError(f"{d} is prime; the construction needs a composite")
-    odd = [p for p, _ in fac.factors if p != 2]
-    primes = tuple(odd) + ((2,) if d % 2 == 0 else ())
-    return primes
+    return primes[1:] + (2,) if primes[0] == 2 else primes
 
 
 def mod8_class(slot: str, r: int, t: int) -> int:
@@ -552,16 +546,18 @@ def _clause_unit_norm(D: int) -> list[str]:
     return []
 
 
-def _clause_genus(D: int, predicted: QuadForm) -> tuple[list[str], str]:
+def _clause_genus(cert: MCertificate | PrimePairCertificate) -> tuple[list[str], str]:
     """The predicted form must be the only split candidate in the principal genus.
 
     Half candidates exist only for D = 3 mod 4 (never for a prime pair, whose
     D = p e1 e2 is 1 mod 4); principal-genus ones are recorded in the note.
     The assigned characters of 4D are built once, and a candidate is in the
-    principal genus when all its generic values are +1.
+    principal genus when all its generic values are +1. D is not factored: the
+    gate has tied the certificate's primes to D.
     """
-    candidates = enumerate_ambiguous_candidates(D)
-    system = assigned_characters(D)
+    D, primes, predicted = cert.D, cert.identity[1], cert.predicted_form
+    candidates = enumerate_ambiguous_candidates(D, primes)
+    system = assigned_characters(D, primes)
     split_passers, half_passers = (
         [f for f in forms if generic_values(f, system).all_ones]
         for forms in (candidates.split_forms, candidates.half_forms)
@@ -748,7 +744,7 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
         "consequences": clause_consequences,
         "lambda_flip": clause_lambda,
         "unit_norm": lambda: _clause_unit_norm(cert.D),
-        "genus_uniqueness": lambda: _clause_genus(cert.D, cert.predicted_form),
+        "genus_uniqueness": lambda: _clause_genus(cert),
         "pell_evidence": lambda: _clause_evidence(cert.pell_evidence, expected_ab),
     }
     return _run_clauses("certificate", M_CLAUSES, bodies)
@@ -793,7 +789,7 @@ def verify_prime_pair(cert: PrimePairCertificate) -> VerificationReport:
         "structure": clause_structure,
         "symbols": clause_symbols,
         "unit_norm": lambda: _clause_unit_norm(cert.D),
-        "genus_uniqueness": lambda: _clause_genus(cert.D, cert.predicted_form),
+        "genus_uniqueness": lambda: _clause_genus(cert),
         "evidence": lambda: _clause_evidence(cert.evidence, (cert.p, cert.m)),
     }
     return _run_clauses("prime pair", PAIR_CLAUSES, bodies)

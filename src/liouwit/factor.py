@@ -191,6 +191,16 @@ def squarefree_core(n: int) -> tuple[int, int]:
     return core, scale
 
 
+def squarefree_primes(n: int) -> tuple[int, ...]:
+    """The ascending primes of square-free n >= 2."""
+    if n < 2:
+        raise InvalidInputError(f"need a square-free integer >= 2, got {n}")
+    fact = factorize(n)
+    if any(e > 1 for _, e in fact.factors):
+        raise InvalidInputError(f"{n} is not square-free")
+    return tuple(p for p, _ in fact.factors)
+
+
 def merge_factorizations(parts: list[Factorization]) -> Factorization:
     """Product of several factorizations as a single factorization."""
     sign = 1

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .arith import integer_sqrt
 from .errors import InvalidInputError, SearchExhaustedError
-from .factor import factorize
+from .factor import squarefree_primes
 
 _REPRESENTATION_BOUND = 2**16
 
@@ -76,14 +76,6 @@ def identity_form(d_form: int) -> QuadForm:
     return QuadForm(1, 1, (1 - d_form) // 4)
 
 
-def _ascending_divisors(n: int) -> list[int]:
-    fact = factorize(n)
-    divisors = [1]
-    for p, e in fact.factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    return sorted(divisors)
-
-
 def split_parameters(f: QuadForm) -> tuple[int, int]:
     """Recover (a, b) with f = (a, 0, -b)."""
     return f.a, -f.c
@@ -95,19 +87,18 @@ def half_parameters(f: QuadForm) -> tuple[int, int]:
     return a, a - 2 * f.c
 
 
-def enumerate_ambiguous_candidates(D: int) -> AmbiguousCandidateList:
+def enumerate_ambiguous_candidates(D: int, primes=None) -> AmbiguousCandidateList:
     """Candidate ambiguous forms of discriminant 4D for square-free D > 1.
 
     Split family: (a, 0, -b) for every factorization D = ab with a > 1 and
     b > 1. Half family (only when D = 3 mod 4): (2a, 2a, (a - b)/2) for every
-    factorization D = ab with a >= 1. Both listed in ascending a.
+    factorization D = ab with a >= 1. Both listed in ascending a. Given the
+    distinct `primes` of D, trusted as they are, D is not factored.
     """
-    if D <= 1:
-        raise InvalidInputError(f"need D > 1, got {D}")
-    fact = factorize(D)
-    if any(e > 1 for _, e in fact.factors):
-        raise InvalidInputError(f"{D} is not square-free")
-    divisors = _ascending_divisors(D)
+    divisors = [1]
+    for p in squarefree_primes(D) if primes is None else primes:
+        divisors += [d * p for d in divisors]
+    divisors.sort()
     split = tuple(QuadForm(a, 0, -(D // a)) for a in divisors if 1 < a < D)
     half: tuple[QuadForm, ...] = ()
     if D % 4 == 3:

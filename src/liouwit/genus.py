@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .arith import delta_char, eta_char, jacobi
 from .errors import InvalidInputError
-from .factor import factorize
+from .factor import squarefree_primes
 from .forms import QuadForm, represented_value_coprime
 
 EXTRA_NONE = "none"
@@ -55,14 +55,13 @@ class GenericValues:
         return all(v == 1 for v in self.values)
 
 
-def assigned_characters(D: int) -> CharacterSystem:
-    """Character system for square-free D >= 2 per the discriminant's class mod 8."""
-    if D < 2:
-        raise InvalidInputError(f"need square-free D >= 2, got {D}")
-    fact = factorize(D)
-    if any(e > 1 for _, e in fact.factors):
-        raise InvalidInputError(f"{D} is not square-free")
-    odd_primes = tuple(p for p, _ in fact.factors if p != 2)
+def assigned_characters(D: int, primes=None) -> CharacterSystem:
+    """Character system for square-free D >= 2 per the discriminant's class mod 8.
+
+    Given the distinct `primes` of D, trusted as they are, D is not factored.
+    """
+    primes = squarefree_primes(D) if primes is None else sorted(primes)
+    odd_primes = tuple(p for p in primes if p != 2)
     if D % 4 == 1:
         extra = EXTRA_NONE
     elif D % 4 == 3:

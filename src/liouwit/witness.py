@@ -56,8 +56,18 @@ _SIEVE_FLOOR = 10**4
 
 # Pell coordinates larger than this are not worth a factoring attempt: the
 # iteration budget can only extract factors far below such a k's plausible
-# smallest divisor, so the attempt would burn the whole budget and fail.
+# smallest divisor, so the attempt would burn the whole budget and fail. The
+# bound is tested on k itself, before the known primes are peeled off it.
 FACTOR_ATTEMPT_BIT_BOUND = 256
+
+# A constructive coordinate gets budget // _COORDINATE_BUDGET_SHARE rho
+# iterations for what is left after peeling; the brute scan keeps the whole
+# budget. Over every request with 0 < |d| <= 50, the most any verifying
+# coordinate spends is 679,805 iterations (d = 22), under the quarter of the
+# default 4,000,000; an eighth would lose the verified witnesses of d = 22
+# and d = -39. The hopeless coordinate of d = -6 peels to a 126-bit product
+# of two 63-bit primes, which rho would need some 3 * 10^9 iterations to split.
+_COORDINATE_BUDGET_SHARE = 4
 
 # how a witness was produced
 PROV_DIRECT_PELL = "direct_pell"
@@ -274,6 +284,23 @@ def _constructive_stream(witness_plan: WitnessPlan, want: int):
     return generate()
 
 
+def _peeled_factorization(k: int, primes: set[int], budget: int | None) -> Factorization:
+    """factorize(k, budget), after the primes in `primes` are divided out of k.
+
+    The division is exact trial division, so the result does not rest on any
+    divisibility between Pell coordinates; the budget applies to the cofactor.
+    """
+    peeled = []
+    for p in primes:
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        if e:
+            peeled.append((p, e))
+    return merge_factorizations([Factorization(1, tuple(peeled)), factorize(k, budget=budget)])
+
+
 def _verify_constructive(
     d: int,
     n: int,
@@ -281,15 +308,23 @@ def _verify_constructive(
     known: Factorization,
     k: int,
     provenance: str,
-    budget: int,
+    budget: int | None,
+    primes: set[int],
 ) -> Witness:
-    """Upgrade a theoretical witness by factoring k, or flag it unverified."""
+    """Upgrade a theoretical witness by factoring k, or flag it unverified.
+
+    `primes` holds the primes of the coordinates the request has factored so
+    far: they are peeled off k before rho gets a share of the budget, and the
+    primes of k join them once k is factored.
+    """
     if budget is not None and k.bit_length() > FACTOR_ATTEMPT_BIT_BOUND:
         return Witness(d, n, value, None, known.liouville, provenance, False)
+    share = None if budget is None else budget // _COORDINATE_BUDGET_SHARE
     try:
-        k_fact = factorize(k, budget=budget)
+        k_fact = _peeled_factorization(k, primes, share)
     except FactorBudgetExceededError:
         return Witness(d, n, value, None, known.liouville, provenance, False)
+    primes.update(p for p, _ in k_fact.factors)
     full = merge_factorizations([known, _squared(k_fact)])
     if full.value != value:
         raise InternalInvariantError(f"factorization of {value} is inconsistent")
@@ -322,10 +357,12 @@ def _witness_stream(
     stream = _constructive_stream(witness_plan, want)
     if stream is not None:
         consecutive_unverified = 0
+        # primes of the coordinates factored so far
+        k_primes: set[int] = set()
         for n, value, known, k, provenance in stream:
             if verified >= count:
                 break
-            w = _verify_constructive(d, n, value, known, k, provenance, budget)
+            w = _verify_constructive(d, n, value, known, k, provenance, budget, k_primes)
             out.append(w)
             emitted.add(n)
             if w.verified:
@@ -369,7 +406,14 @@ def minus_witnesses(
     budget: int = DEFAULT_FACTOR_BUDGET,
     scan_bound: int = BRUTE_SCAN_BOUND,
 ) -> list[Witness]:
-    """Witnesses with lambda(n^2 + d) = -1, constructive where possible."""
+    """Witnesses with lambda(n^2 + d) = -1, constructive where possible.
+
+    A Pell coordinate k of at most FACTOR_ATTEMPT_BIT_BOUND bits is factored
+    after the primes of the coordinates factored before it are divided out,
+    with budget // 4 rho iterations for the rest; a larger k, or one that
+    exhausts its share, gives an unverified witness. The brute scan that tops
+    the stream up to `count` verified witnesses spends up to `budget` per n.
+    """
     return _witness_stream(d, -1, count, cap, budget, scan_bound)
 
 
@@ -380,7 +424,10 @@ def plus_witnesses(
     budget: int = DEFAULT_FACTOR_BUDGET,
     scan_bound: int = BRUTE_SCAN_BOUND,
 ) -> list[Witness]:
-    """Witnesses with lambda(n^2 + d) = +1, constructive where possible."""
+    """Witnesses with lambda(n^2 + d) = +1, constructive where possible.
+
+    `budget` is spent as in minus_witnesses.
+    """
     return _witness_stream(d, 1, count, cap, budget, scan_bound)
 
 

@@ -438,10 +438,34 @@ def test_genus_clause_assigns_the_characters_once(monkeypatch):
     calls = []
     real = construct.assigned_characters
 
-    def counting(D):
+    def counting(D, primes=None):
         calls.append(D)
-        return real(D)
+        return real(D, primes)
 
     monkeypatch.setattr(construct, "assigned_characters", counting)
     assert verify_certificate(cert).passed
     assert calls == [cert.D]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: construct_M(6, 1), lambda: construct_prime_pair(7)],
+    ids=["m_certificate_6", "prime_pair_7"],
+)
+def test_genus_clause_factors_nothing(monkeypatch, build):
+    # the gate has tied the certificate's primes to D, so the clause reads them
+    from liouwit import construct, factor, forms, genus
+
+    cert = build()
+    expected = construct._clause_genus(cert)
+    calls = []
+    real = factor.factorize
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    for module in (factor, forms, genus, construct):
+        monkeypatch.setattr(module, "factorize", counting, raising=False)
+    assert construct._clause_genus(cert) == expected
+    assert calls == []

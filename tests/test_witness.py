@@ -2,8 +2,10 @@
 
 import pytest
 
+from liouwit import factor, witness
 from liouwit import (
     BRUTE_SCAN_BOUND,
+    DEFAULT_FACTOR_BUDGET,
     InvalidInputError,
     MCertificate,
     PrimePairCertificate,
@@ -154,6 +156,123 @@ def test_big_pell_coordinates_skip_factoring():
     assert sum(1 for w in got if w.verified) == 3
     big = [w for w in got if not w.verified]
     assert all(w.n.bit_length() > 256 for w in big)
+
+
+# (n, provenance, verified) of minus_witnesses(d, 3). For -6, -10 and 10 the
+# stream is what it was before the known primes were peeled off each Pell
+# coordinate; d = 33's second coordinate factors only after the peel.
+SWEEP_PINS = {
+    -6: [
+        (3, "brute", True),
+        (5, "brute", True),
+        (9078303164666103024, "certificate", True),
+        (498795797687913781016171535042610411221210491936584356144, "certificate", False),
+        (
+            27405699421833848283235883965851787660399160796823303794207888928719735961629888948871800567984,
+            "certificate",
+            False,
+        ),
+    ],
+    -10: [
+        (9, "brute", True),
+        (18251872902778934620, "certificate", True),
+        (2432104879240848118808080570537536086165733636168898047340, "certificate", True),
+        (
+            324083680350772826807074703255403322237241289966253151566578349520411724998469710357421237729100,
+            "certificate",
+            False,
+        ),
+        (
+            43184910636948273128527511862119293035017823835570694172712723319786156113722987707956355872847198221117147068551478622269240275310460,
+            "certificate",
+            False,
+        ),
+    ],
+    10: [
+        (1, "brute", True),
+        (3, "brute", True),
+        (28001150022431942153940839789425651580700, "certificate", True),
+        (
+            8781881985542313121424637397413796149003419959434330449175902766812671179694021045790079932801962367817818833182131942100,
+            "certificate",
+            False,
+        ),
+        (
+            2754224421004494351013667851264594765749093443081382924996515462059161315375586607794677427986556258798087934698247112976816999921107675025147340802645517272270303883008686125103303771284104945343903500,
+            "certificate",
+            False,
+        ),
+    ],
+    33: [
+        (2, "brute", True),
+        (13513713627191744419596, "certificate", True),
+        (
+            299137035735846727544025933113708855095512653687096456600069406756,
+            "certificate",
+            True,
+        ),
+        (
+            6621641439017566605632693128660820246813901149024177748560828693165110984639669293994519032533682907674991164,
+            "certificate",
+            False,
+        ),
+        (
+            146575415642057127129000138823860583329231718296660710114644151318051879148439416130737993001868566048410475258621535444374336871345792523341074264185684,
+            "certificate",
+            False,
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("d", sorted(SWEEP_PINS))
+def test_witness_sweep_pins(d):
+    got = minus_witnesses(d, 3)
+    assert [(w.n, w.provenance, w.verified) for w in got] == SWEEP_PINS[d]
+
+
+def test_constructive_coordinates_spend_a_quarter_of_the_budget(monkeypatch):
+    # d = -6's second coordinate peels to a 126-bit product of two 63-bit
+    # primes that rho cannot split; the brute scan keeps the whole budget
+    spent, inside = [0], [False]
+    real_spend, real_verify = factor._Budget.spend, witness._verify_constructive
+
+    def spend(self, amount):
+        real_spend(self, amount)  # raises before the iterations would run
+        if inside[0]:
+            spent[0] += amount
+
+    def verify(*args):
+        inside[0] = True
+        try:
+            return real_verify(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(factor._Budget, "spend", spend)
+    monkeypatch.setattr(witness, "_verify_constructive", verify)
+    minus_witnesses(-6, 3)
+    assert 0 < spent[0] <= DEFAULT_FACTOR_BUDGET // 4
+
+
+@pytest.mark.parametrize("d", [-10, 22, -46, 33])
+def test_peeled_factorization_matches_factorize(monkeypatch, d):
+    # peeling is exact trial division by primes already found, whatever the
+    # divisibility between coordinates
+    real = witness._peeled_factorization
+    calls = []
+
+    def recording(k, primes, budget):
+        fact = real(k, primes, budget)
+        calls.append((k, any(k % p == 0 for p in primes), fact))
+        return fact
+
+    monkeypatch.setattr(witness, "_peeled_factorization", recording)
+    minus_witnesses(d, 3)
+    plus_witnesses(d, 3)
+    assert any(peeled for _, peeled, _ in calls)
+    for k, _, fact in calls:
+        assert fact == factorize(k, budget=None), k
 
 
 def test_to_json_dict():
