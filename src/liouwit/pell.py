@@ -1,10 +1,10 @@
 """Pell equations via continued fractions, and the generalized forms a x^2 - b y^2 = eps.
 
-Everything is read off the middle of the period of sqrt(D) (Perron, Die Lehre
-von den Kettenbruechen, section 26): cf_sqrt walks half the period and mirrors
-the rest, fundamental_from_cf keeps the midpoint convergent, which is the
-square root of the fundamental unit up to a small factor, and the solutions of
-a x^2 - b y^2 = eps with ab = D are read off that square root.
+Everything is read off the middle of the period of sqrt(D) (Perron, Die Lehre von den
+Kettenbruechen, section 26): cf_sqrt walks half the period and mirrors the rest,
+fundamental_from_cf keeps the midpoint convergent (a balanced product tree whose leaves
+fold 64 terms each on small ints), the square root of the fundamental unit up to a
+small factor, and the solutions of a x^2 - b y^2 = eps with ab = D are read off it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ CROSS_CHECK_Y_BOUND = 10**4
 # walk stops exactly there. Twice the longest period any test or benchmark
 # request reaches: 918,548, for the d = 330 M-certificate.
 MAX_CF_PERIOD = 2**21
+
+# terms per leaf of the convergent product tree
+_CONTINUANT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,17 @@ def _mul(m: _Matrix, n: _Matrix) -> _Matrix:
 
 
 def _halve_to_two(terms: list[int]) -> list[_Matrix]:
-    """Balanced products of the matrices [[t, 1], [1, 0]], down to one or two."""
-    mats = [(t, 1, 1, 0) for t in terms]
+    """Balanced products of the matrices [[t, 1], [1, 0]], down to one or two.
+
+    Each leaf folds a run of _CONTINUANT_BLOCK terms by p_k = t_k p_{k-1} + p_{k-2},
+    and the same for q, on small ints; only the leaves are paired level by level.
+    """
+    mats = []
+    for i in range(0, len(terms), _CONTINUANT_BLOCK):
+        p, p0, q, q0 = 1, 0, 0, 1
+        for t in terms[i : i + _CONTINUANT_BLOCK]:
+            p, p0, q, q0 = t * p + p0, p, t * q + q0, q
+        mats.append((p, p0, q, q0))
     while len(mats) > 2:
         nxt = [_mul(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
         if len(mats) % 2:
@@ -151,9 +163,7 @@ def _convergent(terms: list[int]) -> _Matrix:
 def _convergent_pq(terms: list[int]) -> tuple[int, int]:
     """(p_k, q_k) of [t0; t1, ..., tk]: only the first column of the top product."""
     (a, b, c, d), *rest = _halve_to_two(terms)
-    if not rest:
-        return a, c
-    e, _, g, _ = rest[0]
+    e, _, g, _ = rest[0] if rest else (1, 0, 0, 1)
     return a * e + b * g, c * e + d * g
 
 

@@ -1,6 +1,7 @@
 """Unit tests for continued fractions, Pell solutions, and the candidate scan."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -52,6 +53,27 @@ def test_fundamental_solution_pinned():
     f61 = fundamental_solution(61)
     assert (f61.t, f61.u) == (1766319049, 226153980)
     assert f61.neg_solution == (29718, 3805)
+
+
+def test_fundamental_solution_pinned_for_the_longest_period():
+    # D of construct_M(330, -1), period 918,548: the longest any request reaches
+    fund = fundamental_solution(8804767929867030)
+    assert (fund.p.bit_length(), fund.q.bit_length()) == (788425, 788398)
+    assert (fund.N, fund.unit_norm) == (330, 1)
+    P = 10**9 + 7
+    assert (fund.p % P, fund.q % P) == (426207639, 782910463)
+
+
+def test_convergent_pq_peak_memory():
+    # the leaves fold runs of terms, so no per-term matrix is ever held
+    terms = [1, 2, 3, 1, 1, 4] * 40000
+    tracemalloc.start()
+    try:
+        pell._convergent_pq(terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6
 
 
 def test_fundamental_solution_satisfies_equation():

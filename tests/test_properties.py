@@ -197,9 +197,28 @@ def product_left_to_right(terms: list[int]) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-@PROPERTY_SETTINGS
-@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=300))
-def test_first_column_top_product_matches_the_full_product(terms):
+def check_convergents(terms: list[int]) -> None:
     full = product_left_to_right(terms)
     assert pell._convergent(terms) == full
     assert pell._convergent_pq(terms) == (full[0], full[2])
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=300))
+def test_first_column_top_product_matches_the_full_product(terms):
+    check_convergents(terms)
+
+
+BLOCK = pell._CONTINUANT_BLOCK
+
+
+@pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, BLOCK**2 + 1])
+def test_convergents_match_the_full_product_at_block_seams(length):
+    terms = [(37 * i * i + 11 * i) % 997 + 1 for i in range(length)]
+    check_convergents(terms)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=BLOCK + 1, max_size=9 * BLOCK))
+def test_convergents_match_the_full_product_over_several_blocks(terms):
+    check_convergents(terms)
