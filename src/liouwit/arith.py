@@ -137,10 +137,48 @@ def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
     return True
 
 
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, for odd n > 2.
+
+    D is the first of 5, -7, 9, -11, ... with (D / n) = -1, P = 1 and
+    Q = (1 - D) / 4. With n + 1 = d 2^s, n passes iff U_d = 0 or
+    V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+    """
+    # (D / n) is never -1 for a square n; the D search would run up to the
+    # least prime of n, beyond 100 here
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0 and D % n:
+            return False
+        D = 2 - D if D < 0 else -D - 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    # V-only ladder over the bits of d, holding (V_k, V_(k+1), Q^k) mod n
+    v, w, qk = 2, 1, 1
+    for bit in bin(d)[2:]:
+        if bit == "1":
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * Q * qk) % n, qk * qk * Q % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    # D U_d = 2 V_(d+1) - V_d, and D is a unit mod n
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
+
+
 def is_prime(n: int) -> bool:
     """Primality test: deterministic below PRIMALITY_DETERMINISTIC_BOUND.
 
-    Beyond that bound a Baillie-PSW check is used; it has no known
+    Beyond that bound it runs the strong Baillie-PSW test (Miller-Rabin to
+    base 2, then the strong Lucas test above), which has no known
     counterexamples but is not proven, so callers needing certainty on
     huge inputs should treat the answer as probabilistic.
     """
@@ -157,9 +195,7 @@ def is_prime(n: int) -> bool:
         for bound, bases in _MR_TIERS:
             if n < bound:
                 return _miller_rabin(n, bases)
-    import sympy  # deferred: only huge inputs need it
-
-    return bool(sympy.isprime(n))
+    return _miller_rabin(n, (2,)) and _strong_lucas(n)
 
 
 def is_prime_small(n: int) -> bool:
@@ -178,25 +214,29 @@ def next_prime_in_class(
     cls: ResidueClass,
     exclude: frozenset[int] | set[int] = frozenset(),
     cap: int = DEFAULT_PRIME_SEARCH_CAP,
-    filters: Sequence[tuple[int, frozenset[int]]] = (),
+    filters: Sequence[tuple[int, int]] = (),
 ) -> int:
-    """Smallest prime in `cls`, not in `exclude`, passing all residue-set filters.
+    """Smallest prime in `cls`, not in `exclude`, passing all symbol filters.
 
-    Each filter (m, allowed) keeps only candidates c with c % m in allowed.
-    The scan is strictly ascending from the least positive member of the class,
-    so results are deterministic. Raises SearchExhaustedError past `cap`.
+    Each filter (p, want), for an odd prime p and want = +-1, keeps only
+    candidates c with (c / p) = want, read off Euler's criterion with one
+    modular power per candidate, so its cost hardly grows with p. The scan
+    is strictly ascending from the least positive member of the class, so
+    results are deterministic. Raises SearchExhaustedError past `cap`.
     """
     if math.gcd(cls.residue, cls.modulus) != 1:
         raise ConstraintInfeasibleError(
             f"class {cls} has gcd({cls.residue}, {cls.modulus}) > 1; "
             "it contains at most one prime"
         )
+    # (c / p) = want iff c^((p - 1)/2) = want (mod p); both miss c = 0 (mod p)
+    euler = [(p, (p - 1) >> 1, want % p) for p, want in filters]
     candidate = cls.residue if cls.residue > 0 else cls.modulus
     while candidate <= cap:
         if (
             candidate > 1
             and candidate not in exclude
-            and all(candidate % m in allowed for m, allowed in filters)
+            and all(pow(candidate, e, p) == r for p, e, r in euler)
             and is_prime(candidate)
         ):
             return candidate

@@ -81,17 +81,18 @@ class SymbolTarget:
 
 @dataclass(frozen=True)
 class ResidueConstraint:
-    """Search space for one slot: a hard residue class plus allowed-set filters.
+    """Search space for one slot: a hard residue class plus symbol filters.
 
     Conditions that pin a unique residue (modulus 8, and any symbol condition
-    modulo 3) are CRT-merged into `hard`; every other condition keeps its full
-    allowed residue set as a filter so the prime search stays minimal over the
-    whole constraint system rather than over one arbitrary representative.
+    modulo 3) are CRT-merged into `hard`; every other condition stays a
+    filter (p, want) on the Legendre symbol (q / p) of the candidate q, so the
+    prime search stays minimal over the whole constraint system rather than
+    over one arbitrary representative.
     """
 
     slot: str
     hard: ResidueClass
-    filters: tuple[tuple[int, frozenset[int]], ...]
+    filters: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -294,29 +295,6 @@ def symbol_targets(
     return tuple(targets)
 
 
-def _allowed_residues(top: int, bottom_mod4: int, target: int) -> frozenset[int]:
-    """Residues c mod top with (top / q) = target for every prime q = c (mod top).
-
-    Quadratic reciprocity converts the fixed-top condition into one on the
-    candidate prime q, whose class mod 4 is already pinned: the symbol pair
-    (top/q), (q/top) differ exactly when top and q are both 3 mod 4.
-    """
-    if top < 3 or top % 2 == 0:
-        raise InternalInvariantError(f"constraint tops must be odd primes, got {top}")
-    flip = -1 if (top % 4 == 3 and bottom_mod4 == 3) else 1
-    return _jacobi_class_set(top, target * flip)
-
-
-def _jacobi_class_set(p: int, want: int) -> frozenset[int]:
-    """Residues c mod the odd prime p with (c / p) = want, for want = +-1.
-
-    The quadratic residues are the squares of 1, ..., (p - 1)/2; the
-    non-residues are the rest of 1, ..., p - 1.
-    """
-    squares = frozenset(c * c % p for c in range(1, (p + 1) // 2))
-    return squares if want == 1 else frozenset(range(1, p)) - squares
-
-
 def residue_constraints(
     slot: str,
     mod8: int,
@@ -329,24 +307,26 @@ def residue_constraints(
     `direct_conditions` carry conditions jacobi(slot, modulus) = want used when
     the slot sits on top (only (e2 / e1) = -1 arises this way).
     """
-    classes = [ResidueClass(mod8 % 8, 8)]
-    filters: list[tuple[int, frozenset[int]]] = []
-    conditions: list[tuple[int, frozenset[int]]] = []
+    conditions = list(direct_conditions)
     for tgt in targets:
         if tgt.implied:
             continue
         if tgt.bottom_slot != slot:
             raise InternalInvariantError(f"target {tgt} does not belong to {slot}")
-        conditions.append((tgt.top, _allowed_residues(tgt.top, mod8 % 4, tgt.target)))
-    for modulus, want in direct_conditions:
-        conditions.append((modulus, _jacobi_class_set(modulus, want)))
-    for modulus, allowed in sorted(conditions):
-        if not allowed:
-            raise InternalInvariantError(f"empty residue set mod {modulus} for {slot}")
-        if len(allowed) == 1:
-            classes.append(ResidueClass(next(iter(allowed)), modulus))
+        # quadratic reciprocity turns (top / q) = target into a condition on
+        # the candidate prime q, whose class mod 4 is pinned: the symbols
+        # (top / q), (q / top) differ exactly when top and q are both 3 mod 4
+        flip = -1 if (tgt.top % 4 == 3 and mod8 % 4 == 3) else 1
+        conditions.append((tgt.top, tgt.target * flip))
+    classes = [ResidueClass(mod8 % 8, 8)]
+    filters: list[tuple[int, int]] = []
+    for modulus, want in sorted(conditions):
+        if modulus < 3 or modulus % 2 == 0:
+            raise InternalInvariantError(f"constraint tops must be odd primes, got {modulus}")
+        if modulus == 3:  # the only symbol with one residue per sign: 1 or 2
+            classes.append(ResidueClass(want % 3, 3))
         else:
-            filters.append((modulus, allowed))
+            filters.append((modulus, want))
     return ResidueConstraint(slot, crt_merge(classes), tuple(filters))
 
 
@@ -478,7 +458,7 @@ def construct_prime_pair(
         ResidueClass(3, 4),
         exclude=frozenset({p}),
         cap=cap,
-        filters=((p, _jacobi_class_set(p, -1)),),
+        filters=((p, -1),),
     )
     # (p/e2) = 1 with e2 = 1 mod 4 stays (e2/p) = 1; (e1/e2) = -1 stays
     # (e2/e1) = -1 for the same reason
@@ -486,7 +466,7 @@ def construct_prime_pair(
         ResidueClass(1, 4),
         exclude=frozenset({p, e1}),
         cap=cap,
-        filters=((p, _jacobi_class_set(p, 1)), (e1, _jacobi_class_set(e1, -1))),
+        filters=((p, 1), (e1, -1)),
     )
     m = e1 * e2
     D = p * m

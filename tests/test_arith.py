@@ -17,6 +17,7 @@ from liouwit import (
     jacobi,
     next_prime_in_class,
 )
+from liouwit import arith
 from liouwit.arith import is_prime_small
 
 
@@ -126,11 +127,29 @@ def test_next_prime_in_class_basic():
 
 
 def test_next_prime_in_class_filters():
-    # smallest prime = 1 mod 4 whose residue mod 5 lies in {2, 3}
-    got = next_prime_in_class(
-        ResidueClass(1, 4), filters=((5, frozenset({2, 3})),)
-    )
+    # smallest prime = 1 mod 4 that is a non-residue mod 5 (13 = 3 mod 5),
+    # and a residue (29 = 4 mod 5; 5 itself has symbol 0)
+    got = next_prime_in_class(ResidueClass(1, 4), filters=((5, -1),))
     assert got == 13
+    assert next_prime_in_class(ResidueClass(1, 4), filters=((5, 1),)) == 29
+    # two filters at once: (q / 5) = 1 and (q / 7) = -1
+    assert next_prime_in_class(ResidueClass(1, 4), filters=((5, 1), (7, -1))) == 41
+
+
+def test_symbol_filters_match_the_quadratic_residues(monkeypatch):
+    # the primality test sees exactly the candidates that pass the filters;
+    # scanning 2, ..., p + 1 covers every residue mod p (1 as p + 1)
+    for p in range(3, 3000, 2):
+        if not is_prime_small(p):
+            continue
+        squares = {x * x % p for x in range(1, p)}
+        for want in (1, -1):
+            passed = []
+            monkeypatch.setattr(arith, "is_prime", lambda n: passed.append(n) and False)
+            with pytest.raises(SearchExhaustedError):
+                next_prime_in_class(ResidueClass(0, 1), cap=p + 1, filters=((p, want),))
+            expected = [c for c in range(1, p) if (c in squares) == (want == 1)]
+            assert sorted(c % p for c in passed) == expected, (p, want)
 
 
 def test_next_prime_in_class_errors():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface and its JSON envelopes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -149,10 +150,16 @@ def test_verify_does_not_factor_untrusted_d(tmp_path, capsys):
 
 
 def test_import_does_not_load_sympy():
-    # sympy is imported lazily, for Baillie-PSW on huge inputs only
+    # the witness path runs the in-repo strong Baillie-PSW test above the
+    # Miller-Rabin bound (2^89 - 1 is a Mersenne prime beyond it)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, liouwit.cli; print('sympy' in sys.modules)"
+    probe = (
+        "import sys, liouwit.cli\n"
+        "from liouwit import is_prime, minus_witnesses\n"
+        "assert len(minus_witnesses(-10, 3)) >= 3 and is_prime(2**89 - 1)\n"
+        "print('sympy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": path},
@@ -162,6 +169,19 @@ def test_import_does_not_load_sympy():
         timeout=60,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_no_module_imports_sympy():
+    src = Path(__file__).resolve().parents[1] / "src" / "liouwit"
+    for module in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "sympy" for n in names), (module.name, node.lineno)
 
 
 def test_verify_bad_paths(tmp_path, capsys):

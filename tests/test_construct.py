@@ -15,7 +15,10 @@ from liouwit import (
     SymbolTarget,
     construct_M,
     construct_prime_pair,
+    is_prime,
+    jacobi,
     mod8_class,
+    next_prime_in_class,
     ordered_prime_list,
     residue_constraints,
     symbol_targets,
@@ -100,8 +103,8 @@ def test_symbol_targets_rejects():
 
 def test_residue_constraints_e2_of_d6():
     # reproduces the slot search space of the d = 6, t = +1 construction:
-    # hard class from mod 8 and the pinned symbol mod 3, residue-set filters
-    # for the symbol mod 5 and the condition (e2 / 31) = -1
+    # hard class from mod 8 and the pinned symbol mod 3, symbol filters
+    # (e2 / 5) = 1 and (e2 / 31) = -1
     constraint = residue_constraints(
         "e2",
         3,
@@ -109,9 +112,20 @@ def test_residue_constraints_e2_of_d6():
         ((31, -1),),
     )
     assert constraint.hard == ResidueClass(11, 24)
-    assert constraint.filters[0] == (5, frozenset({1, 4}))
-    assert constraint.filters[1][0] == 31
-    assert len(constraint.filters[1][1]) == 15
+    assert constraint.filters == ((5, 1), (31, -1))
+
+
+def test_residue_constraints_with_a_42_digit_top():
+    # the largest prime of d = 10^52 + 1 as a filter: one modular power per
+    # candidate, whatever the size of the prime
+    top = (10**52 + 1) // (73 * 137 * 1_580_801)
+    for target in (1, -1):
+        constraint = residue_constraints("e1", 3, (SymbolTarget(top, "e1", target),))
+        assert constraint.filters == ((top, target),)  # top = 1 mod 4: no flip
+        got = next_prime_in_class(constraint.hard, filters=constraint.filters)
+        assert got == next(
+            q for q in range(3, 10**4, 8) if is_prime(q) and jacobi(top, q) == target
+        )
 
 
 def test_construct_m_d6_plus_regression():
@@ -417,18 +431,6 @@ def test_report_summary_format():
     )
     bad = verify_certificate(replace(construct_M(6, 1), e2=13))
     assert "FAIL" in bad.summary()
-
-
-def test_jacobi_class_sets_match_the_jacobi_symbol():
-    from liouwit.arith import is_prime, jacobi
-    from liouwit.construct import _jacobi_class_set
-
-    for p in range(3, 3000, 2):
-        if not is_prime(p):
-            continue
-        for want in (1, -1):
-            expected = frozenset(c for c in range(1, p) if jacobi(c, p) == want)
-            assert _jacobi_class_set(p, want) == expected, (p, want)
 
 
 def test_genus_clause_assigns_the_characters_once(monkeypatch):

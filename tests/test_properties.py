@@ -1,6 +1,6 @@
-"""Property tests of factorization, of the sign sieve and its parts, and of the
-half-period Pell expansion, against direct definitions and sympy as an
-independent oracle."""
+"""Property tests of primality, of factorization, of the sign sieve and its
+parts, and of the half-period Pell expansion, against direct definitions and
+sympy as an independent oracle."""
 
 import math
 
@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime, nextprime
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from liouwit import cf_sqrt, factorize, fundamental_solution, liouville, sign_change_report
-from liouwit import pell, witness
-from liouwit.arith import sqrt_mod
+from liouwit import arith, pell, witness
+from liouwit.arith import PRIMALITY_DETERMINISTIC_BOUND, is_prime, sqrt_mod
 from liouwit.errors import InvalidInputError
 from liouwit.factor import primerange
 
@@ -54,6 +55,50 @@ def test_sqrt_mod_rejects_non_residues(p, a):
     if pow(a, (p - 1) // 2, p) == p - 1:
         with pytest.raises(InvalidInputError):
             sqrt_mod(a, p)
+
+
+# strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+
+
+def test_strong_lucas_matches_sympy_below_2e5():
+    for n in range(3, 2 * 10**5, 2):
+        assert arith._strong_lucas(n) == is_strong_lucas_prp(n), n
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert arith._strong_lucas(n) and not is_prime_by_trial_division(n), n
+
+
+def test_strong_lucas_stops_at_once_on_a_square(monkeypatch):
+    # no D has (D / p^2) = -1, so the D search alone would run about p / 2 steps
+    calls = []
+    real_jacobi = arith.jacobi
+
+    def counted(a, n):
+        calls.append(a)
+        assert len(calls) < 100, "D search on a square"
+        return real_jacobi(a, n)
+
+    monkeypatch.setattr(arith, "jacobi", counted)
+    for p in (1093, 3511, 2**61 - 1, nextprime(2**100)):
+        assert not arith._strong_lucas(p * p), p
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=PRIMALITY_DETERMINISTIC_BOUND, max_value=2**400 - 1))
+def test_is_prime_matches_sympy_above_the_miller_rabin_bound(n):
+    assert is_prime(n) == isprime(n)
+    p = nextprime(n)
+    assert is_prime(p) and is_prime(p + 2) == isprime(p + 2)
+
+
+BIG_PRIME = st.integers(min_value=2**40, max_value=2**120).map(nextprime)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(BIG_PRIME, BIG_PRIME)
+def test_is_prime_rejects_products_of_big_primes(p, q):
+    for n in (p * p, p * q, p * q * q):
+        assert not is_prime(n) and not isprime(n), n
 
 
 @PROPERTY_SETTINGS
