@@ -10,19 +10,23 @@ before any factoring happens; the factorization of k then upgrades the
 theoretical sign to an independently verified one.
 
 sign_change_report counts both signs of lambda(n^2 + d) over a range of n
-exactly, with a block sieve of quadratic progressions that needs no
-primality test unless |d| is far above the square of the range (see
-_lambda_blocks).
+exactly, with a block sieve over the progressions of n on which a prime
+power divides n^2 + d. Each hit flips a parity byte and adds the prime's
+rounded logarithm to a log byte, both by bytes.translate on a slice; a
+log byte short of the value's own logarithm by a margin that rounding
+cannot cross means one prime above the sieve limit is left (see
+_lambda_blocks). No primality test runs unless |d| is far above the square
+of the range.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cache, cached_property
 
-from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, jacobi, sqrt_mod
+from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, sqrt_mod
 from .construct import (
     MCertificate,
     PrimePairCertificate,
@@ -53,6 +57,9 @@ _SIEVE_BLOCK = 1 << 16
 
 # the sign sieve divides out every prime up to at least this
 _SIEVE_FLOOR = 10**4
+
+# a prime p weighs round(_LOG_SCALE * log2 p) units in the sign sieve's log bytes
+_LOG_SCALE = 4
 
 # Pell coordinates larger than this are not worth a factoring attempt: the
 # iteration budget can only extract factors far below such a k's plausible
@@ -453,26 +460,106 @@ def _sieve_limit(d: int, bound: int) -> int:
 
     The square root of the largest value, so that every residual is 1 or a
     prime; but at most max(_SIEVE_FLOOR, bound), so that a |d| far above
-    bound^2 cannot make the (p, root) table outgrow the bound.
+    bound^2 cannot make the table of progressions outgrow the bound.
     """
     top = math.isqrt(max(bound * bound + d, 0))
     return min(top, max(_SIEVE_FLOOR, bound))
 
 
-def _sieve_roots(d: int, limit: int):
-    """Yield (p, root) for each prime p <= limit and root of n^2 + d mod p.
+def _square_roots(c: int, p: int) -> tuple[int, ...]:
+    """The roots of r^2 = c (mod p) for an odd prime p: (0,) if p | c, else two or none.
 
-    Every n = root (mod p) has p | n^2 + d; a prime has one root when it
-    divides 2d and two or none otherwise, found by a modular square root.
+    One residue test: for p = 3 (mod 4) the candidate c^((p+1)/4), and for
+    p = 5 (mod 8) Atkin's c v (2c v^2 - 1) with v = (2c)^((p-5)/8), is a root
+    iff c is a square; for p = 1 (mod 8) sqrt_mod runs Euler's criterion.
     """
-    for p in primerange(2, limit + 1):
-        c = -d % p
-        if p == 2 or c == 0:
-            yield p, c
-        elif jacobi(c, p) == 1:
+    c %= p
+    if c == 0:
+        return (0,)
+    if p & 3 == 3:
+        r = pow(c, (p + 1) >> 2, p)
+    elif p & 7 == 5:
+        v = pow(2 * c, (p - 5) >> 3, p)
+        r = c * v * (2 * c * v * v - 1) % p
+    else:
+        try:
             r = sqrt_mod(c, p)
-            yield p, r
-            yield p, p - r
+        except InvalidInputError:
+            return ()
+    return (r, p - r) if r * r % p == c else ()
+
+
+def _sieve_roots(d: int, limit: int):
+    """Yield (p, roots) for each prime p <= limit with a root of n^2 + d mod p.
+
+    The primes are sieved in windows of the block length, so that no list
+    of all of them is held at once.
+    """
+    for lo in range(2, limit + 1, _SIEVE_BLOCK):
+        for p in primerange(lo, min(lo + _SIEVE_BLOCK, limit + 1)):
+            roots = (d & 1,) if p == 2 else _square_roots(-d, p)
+            if roots:
+                yield p, roots
+
+
+def _lift(d: int, p: int, q: int, classes: list) -> list:
+    """The classes of n with p q | n^2 + d, from the classes (r, m) with q | n^2 + d.
+
+    On n = r + m t, n^2 + d = q (a + b t + c t(t-1)/2) for integers a, b, c
+    (Newton's form), so when p divides all three the class is kept whole,
+    with its coarser modulus. Otherwise, for odd p, the lifts t mod p solve
+    a quadratic; for p = 2 the parity of t(t-1)/2 depends on t mod 4, so
+    the class is halved, at most twice, until each half is whole or empty.
+    """
+    lifted, todo = [], list(classes)
+    while todo:
+        r, m = todo.pop()
+        a, b, c = (r * r + d) // q, (2 * r + m) * m // q, 2 * m * m // q
+        if a % p == b % p == c % p == 0:
+            lifted.append((r, m))
+        elif p == 2:
+            # with b and c even, a is odd and so is a + b t + c t(t-1)/2
+            if (b | c) & 1:
+                todo += [(r, 2 * m), (r + m, 2 * m)]
+        else:
+            # c is prime to p only if m^2 = q; then r = 0, b = 1 and c = 2
+            if c % p:
+                ts = _square_roots(-a, p)
+            else:
+                ts = [-a * pow(b, -1, p) % p] if b % p else []
+            lifted += [(r + t * m, m * p) for t in ts]
+    return lifted
+
+
+def _power_classes(d: int, p: int, roots: tuple[int, ...], top: int, bound: int):
+    """Yield (r, m) for every level j with p^j <= top and every class of it
+    that holds some n <= bound: p^j | n^2 + d for all n = r (mod m).
+
+    For p not dividing 2d the two roots r, p^j - r lift by Hensel's lemma
+    with one inverse of 2r mod p; otherwise _lift carries the classes up.
+    """
+    q = p
+    if p == 2 or d % p == 0:
+        classes = [(r, p) for r in roots]
+        while classes:
+            yield from classes
+            if q * p > top:
+                return
+            classes = [(r, m) for r, m in _lift(d, p, q, classes) if r <= bound]
+            q *= p
+    else:
+        r = roots[0]
+        inv = pow(2 * r, -1, p)
+        while min(r, q - r) <= bound:
+            if r <= bound:
+                yield r, q
+            if q - r <= bound:
+                yield q - r, q
+            if q * p > top:
+                return
+            # the lift r + t q with t = -((r^2 + d) / q) / (2r) mod p
+            r += -(r * r + d) // q * inv % p * q
+            q *= p
 
 
 def _rough_liouville(v: int, limit: int) -> int:
@@ -483,63 +570,108 @@ def _rough_liouville(v: int, limit: int) -> int:
     return liouville(v)
 
 
-def _lambda_blocks(d: int, bound: int):
-    """Yield (lo, [lambda(n^2 + d) for lo <= n < lo + len]) over 0 <= n <= bound.
+@cache
+def _plus(w: int) -> bytes:
+    """Byte table that adds w modulo 256."""
+    return bytes((x + w) & 255 for x in range(256))
 
-    Entries where n^2 + d < 1 are None. Sieve of quadratic progressions,
-    run block by block so that memory for n stays fixed: every prime
-    p <= _sieve_limit(d, bound) is divided out of n^2 + d along its
-    progressions. Unless |d| is far above bound^2, the limit is the square
-    root of the largest value, so what is left is 1 or a single prime and
-    lambda is the parity of the primes divided out, plus one for a residual
-    above 1; a larger residual is resolved by _rough_liouville.
+
+@cache
+def _below(k: int) -> bytes:
+    """Byte table that maps x to 1 if x < k, else to 0."""
+    return bytes(x < k for x in range(256))
+
+
+_FLIP = bytes(x ^ 1 for x in range(256))
+
+
+def _lambda_blocks(d: int, bound: int):
+    """Yield (lo, odd) over the n <= bound with n^2 + d >= 1, block by block:
+    odd[i] is 1 where lambda((lo + i)^2 + d) = -1 and 0 where it is +1.
+
+    Every prime power p^j <= bound^2 + d with p <= _sieve_limit(d, bound)
+    is walked along its classes of n (see _power_classes). Each hit flips a
+    parity byte and adds the weight round(S log2 p), S = _LOG_SCALE, to a
+    log byte, by bytes.translate on the slice of the class; so the parity
+    byte is Omega of the divided-out part V / R of V = n^2 + d, mod 2.
+
+    Where V < (limit + 1)^2 the residual R is 1 or a prime above the limit,
+    so lambda is the parity, flipped when R > 1. The log byte decides that:
+    S log2(V / R) is S log2 V when R = 1 and at most S log2 V - S L when
+    R > 1, L = log2(limit + 1), and the threshold S log2 V - S L / 2 sits
+    halfway. Each odd prime factor rounds its weight by at most 1/2, and
+    there are fewer than log2 V / log2 3 < 1.27 L of them, so with S = 4
+    both sides keep a margin above 1.3 L >= 1 unit: a threshold one off its
+    ceiling, as at a run end rounded in floating point, still decides
+    right. Every sum stays below 256 for any bound up to BRUTE_SCAN_BOUND.
+
+    Only when |d| is far above bound^2, so that the limit is capped, can a
+    block hold V >= (limit + 1)^2. There the walk also keeps the exact
+    product of the divided prime powers, and a residual at or above the
+    cap's square goes to _rough_liouville.
     """
     limit = _sieve_limit(d, bound)
+    top = bound * bound + d
     square = (limit + 1) ** 2
+    half = _LOG_SCALE * math.log2(limit + 1) / 2
     block = _SIEVE_BLOCK
-    # A prime up to the block length is walked through every block. A larger
-    # one hits a block at most once, so each of its roots waits in the
+    # A class with modulus up to the block length is walked through every
+    # block. A coarser one hits a block at most once, so it waits in the
     # bucket of the block that holds its next n; the work stays linear in
-    # the bound however many blocks there are.
+    # the bound however many blocks there are. A bucket is a flat array of
+    # (step, n, p << 8 | weight); any step above the bound stands for m.
     small = []
-    buckets = [[] for _ in range(bound // block + 1)]
-    for p, root in _sieve_roots(d, limit):
-        if p <= block:
-            small.append((p, root))
-        elif root <= bound:
-            buckets[root // block].append((p, root))
+    buckets = [array("q") for _ in range(bound // block + 1)]
+    for p, roots in _sieve_roots(d, limit):
+        w = round(_LOG_SCALE * math.log2(p))
+        for r, m in _power_classes(d, p, roots, top, bound):
+            if m <= block:
+                small.append((m, r, _plus(w), p))
+            else:
+                buckets[r // block].extend((min(m, bound + 1), r, p << 8 | w))
     # n^2 + d < 1 exactly for n < first_positive
     first_positive = 0 if d > 0 else math.isqrt(-d) + 1
     for b, lo in enumerate(range(0, bound + 1, block)):
         size = min(block, bound + 1 - lo)
-        residual = [n * n + d for n in range(lo, lo + size)]
-        undefined = max(0, min(size, first_positive - lo))
-        # 1 is divisible by no prime, so the sieve passes over these entries
-        residual[:undefined] = [1] * undefined
-        omega = [0] * size
+        odd, logs = bytearray(size), bytearray(size)
+        capped = (lo + size - 1) ** 2 + d >= square
+        product = [1] * size if capped else None
+        for m, r, plus, p in small:
+            i = (r - lo) % m
+            odd[i::m] = odd[i::m].translate(_FLIP)
+            logs[i::m] = logs[i::m].translate(plus)
+            if capped:
+                product[i::m] = map(p.__mul__, product[i::m])
         due, buckets[b] = buckets[b], None
-        for p, start in chain(
-            ((p, (root - lo) % p) for p, root in small), ((p, n - lo) for p, n in due)
-        ):
-            for i in range(start, size, p):
-                v = residual[i]
-                k = 0
-                while v % p == 0:
-                    v //= p
-                    k += 1
-                residual[i] = v
-                omega[i] += k
-        for p, n in due:
-            if n + p <= bound:
-                buckets[(n + p) // block].append((p, n + p))
-        lambdas = [-1 if (k + (v > 1)) & 1 else 1 for k, v in zip(omega, residual)]
-        # only where the limit was capped below sqrt(bound^2 + d)
-        if max(residual) >= square:
-            for i, v in enumerate(residual):
-                if v >= square:
-                    lambdas[i] = (-1) ** omega[i] * _rough_liouville(v, limit)
-        lambdas[:undefined] = [None] * undefined
-        yield lo, lambdas
+        for m, n, key in zip(due[::3], due[1::3], due[2::3]):
+            i = n - lo
+            odd[i] ^= 1
+            # the low byte of key is the weight
+            logs[i] = (logs[i] + key) & 255
+            if capped:
+                product[i] *= key >> 8
+            if n + m <= bound:
+                buckets[(n + m) // block].extend((m, n + m, key))
+        start = max(0, min(size, first_positive - lo))
+        if start == size:
+            continue
+        if capped:
+            for i in range(start, size):
+                rest = ((lo + i) ** 2 + d) // product[i]
+                odd[i] ^= rest > 1 if rest < square else _rough_liouville(rest, limit) < 0
+        else:
+            i = start
+            while i < size:
+                k = math.ceil(_LOG_SCALE * math.log2((lo + i) ** 2 + d) - half)
+                # the ceiling stays k while n^2 + d <= 2^((k + half) / S)
+                j = math.isqrt(max(int(2 ** ((k + half) / _LOG_SCALE)) - d, 0)) + 1 - lo
+                j = min(size, max(i + 1, j))
+                logs[i:j] = logs[i:j].translate(_below(k))
+                i = j
+            odd = (int.from_bytes(odd, "little") ^ int.from_bytes(logs, "little")).to_bytes(
+                size, "little"
+            )
+        yield lo + start, bytes(odd[start:])
 
 
 def sign_change_report(d: int, bound: int) -> SignChangeReport:
@@ -553,14 +685,13 @@ def sign_change_report(d: int, bound: int) -> SignChangeReport:
         raise SearchExhaustedError(
             f"bound {bound} is above the scan limit {BRUTE_SCAN_BOUND}"
         )
-    count_minus = count_plus = 0
+    count_minus = count = 0
     first = first_change = None
-    for lo, lambdas in _lambda_blocks(d, bound):
-        count_minus += lambdas.count(-1)
-        count_plus += lambdas.count(1)
+    for lo, odd in _lambda_blocks(d, bound):
+        count_minus += odd.count(1)
+        count += len(odd)
         if first is None:
-            first = next((v for v in lambdas if v is not None), None)
-        # None never equals -first, so the first match follows the first value
-        if first_change is None and first is not None and -first in lambdas:
-            first_change = lo + lambdas.index(-first)
-    return SignChangeReport(d, bound, count_minus, count_plus, first_change)
+            first = odd[0]
+        if first_change is None and (i := odd.find(first ^ 1)) >= 0:
+            first_change = lo + i
+    return SignChangeReport(d, bound, count_minus, count - count_minus, first_change)

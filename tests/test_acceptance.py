@@ -263,7 +263,7 @@ def test_criterion_07_end_to_end_witnesses():
 
 
 def test_criterion_08_sign_change_sanity():
-    # target < 300 s, measured ~35 s
+    # target < 300 s, measured ~10 s (2 vCPUs, Python 3.11)
     t0 = time.monotonic()
     for ad in range(1, 51):
         for d in (ad, -ad):

@@ -162,11 +162,18 @@ def report_counts(d: int, bound: int) -> tuple[int, int, int | None]:
     return report.count_minus, report.count_plus, report.first_change_n
 
 
-@PROPERTY_SETTINGS
-@given(
-    st.integers(min_value=-2000, max_value=2000).filter(lambda d: d != 0),
-    st.integers(min_value=0, max_value=300),
+# d = +-m^2 k has the primes of m to high powers, so the sieve walks
+# progressions of prime powers whose classes are coarser than the power
+SIEVE_D = st.integers(min_value=-2000, max_value=2000).filter(lambda d: d != 0) | st.builds(
+    lambda m, k, sign: sign * m * m * k,
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from((1, -1)),
 )
+
+
+@PROPERTY_SETTINGS
+@given(SIEVE_D, st.integers(min_value=0, max_value=300))
 def test_sign_change_report_matches_direct_loop(d, bound):
     assert report_counts(d, bound) == direct_counts(d, bound)
 
@@ -178,6 +185,35 @@ def test_sign_change_report_across_block_boundaries(monkeypatch):
     for d in (6, -7, 1, -49, -50, 31):
         for bound in (0, 6, 7, 8, 13, 14, 15, 60):
             assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
+    # repeated primes: powers up to the block length are walked in every
+    # block, larger ones wait in buckets, and their classes cross blocks
+    for d in (48, -48, 72, -(2**20), -900, 4 * 9 * 25):
+        for bound in (13, 60, 1100):
+            assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
+
+
+@pytest.mark.parametrize(
+    "factors, residual",
+    [
+        # round(4 log2 p) < 4 log2 p for each p here, and nothing is left
+        # over; at a scale of 1/2 instead of 4, eleven sevens err past the margin
+        ((7,) * 11, False),
+        ((3,) * 9 + (5, 5, 5, 17, 29), False),
+        # round(4 log2 p) > 4 log2 p for each, times a prime above the limit
+        ((11, 11, 13, 31), True),
+    ],
+)
+def test_sign_change_report_when_every_rounded_weight_errs_one_way(factors, residual):
+    value = math.prod(factors)
+    if residual:
+        value *= nextprime(value)
+    # n^2 + d = value at n = bound, the largest value, so the sieve limit
+    # is isqrt(value) and the margin of the log threshold is at its least
+    bound = math.isqrt(value)
+    d = value - bound * bound
+    assert witness._sieve_limit(d, bound) == bound
+    minus_before = report_counts(d, bound - 1)[0]
+    assert report_counts(d, bound)[0] - minus_before == (liouville(value) == -1)
 
 
 @pytest.mark.parametrize(
@@ -196,6 +232,16 @@ def test_sign_change_report_with_a_capped_limit(monkeypatch):
     monkeypatch.setattr(witness, "_SIEVE_FLOOR", 5)
     for d in (2000, -30, 10**5 + 3, 7 * 10**6):
         for bound in (0, 3, 9, 20):
+            assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
+
+
+def test_sign_change_report_with_a_capped_limit_across_blocks(monkeypatch):
+    # in a capped block the exact product of the divided prime powers also
+    # grows at bucket hits, from progressions coarser than the block
+    monkeypatch.setattr(witness, "_SIEVE_FLOOR", 5)
+    monkeypatch.setattr(witness, "_SIEVE_BLOCK", 7)
+    for d in (2000, -30, 10**5 + 3, 7 * 10**6, 2**20 * 3, 5**9):
+        for bound in (3, 9, 20, 50):
             assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
 
 

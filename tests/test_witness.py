@@ -1,5 +1,7 @@
 """Unit tests for witness generation and the exhaustive sign reports."""
 
+import tracemalloc
+
 import pytest
 
 from liouwit import factor, witness
@@ -315,6 +317,20 @@ def test_sign_change_report_pinned_past_a_million():
     assert (rep.count_minus, rep.count_plus, rep.first_change_n) == (499266, 500785, 1)
     rep = sign_change_report(-7, 1_000_050)
     assert (rep.count_minus, rep.count_plus, rep.first_change_n) == (499784, 500264, 4)
+
+
+def test_sign_change_report_memory_is_pinned():
+    # Bytes per n and flat bucket arrays keep the peak near 2 MB; a Python
+    # int per n of a block and a tuple per (prime, root) took 9.36 MB.
+    # No timing is checked.
+    sign_change_report(6, 100)
+    tracemalloc.start()
+    try:
+        sign_change_report(6, 3 * 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9_000_000
 
 
 def test_sign_change_report_matches_direct_factorization():
