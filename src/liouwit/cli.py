@@ -2,9 +2,10 @@
 
 Subcommands: lambda, construct-m, witness, genus, pell, verify.  Every command
 can emit a JSON envelope {schema_version, command, input, result, timing} with
-all big integers rendered as decimal strings.  Exit codes: 0 success, 2
-invalid input, 3 verification failure, 4 resource cap exhausted, 5 internal
-assertion violated.
+all big integers rendered as decimal strings; pell writes one above the
+int-to-str digit limit as a "0x..." hex string, and its human view gives such
+an integer by its bit length.  Exit codes: 0 success, 2 invalid input, 3
+verification failure, 4 resource cap exhausted, 5 internal assertion violated.
 """
 
 from __future__ import annotations
@@ -42,13 +43,29 @@ from .witness import (
     sign_change_report,
 )
 
-SCHEMA_VERSION = "1.0.0"
+SCHEMA_VERSION = "1.1.0"
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_VERIFICATION_FAILURE = 3
 EXIT_RESOURCE_CAP = 4
 EXIT_INTERNAL_ASSERTION = 5
+
+
+def _json_int(n: int) -> str:
+    """n as a decimal string, or "0x..." hex where decimal passes the int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
+def _show_int(n: int) -> str:
+    """n in decimal, or by its size where decimal passes the int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
 
 
 def _fmt_factorization(fact) -> str:
@@ -171,14 +188,14 @@ def cmd_pell(args) -> tuple[dict, str]:
             "eps": args.eps,
             "solution": None
             if solution is None
-            else {"x": str(solution.x), "y": str(solution.y)},
+            else {"x": _json_int(solution.x), "y": _json_int(solution.y)},
         }
         if solution is None:
             human = f"{args.a} x^2 - {args.b} y^2 = {args.eps} has no solution"
         else:
             human = (
                 f"{args.a} x^2 - {args.b} y^2 = {args.eps}: minimal solution "
-                f"(x, y) = ({solution.x}, {solution.y})"
+                f"(x, y) = ({_show_int(solution.x)}, {_show_int(solution.y)})"
             )
         return result, human
     if args.D is None:
@@ -187,22 +204,23 @@ def cmd_pell(args) -> tuple[dict, str]:
     fund = fundamental_from_cf(expansion)
     result = {
         "D": str(args.D),
-        "t": str(fund.t),
-        "u": str(fund.u),
+        "t": _json_int(fund.t),
+        "u": _json_int(fund.u),
         "unit_norm": fund.unit_norm,
         "neg_solution": None
         if fund.neg_solution is None
-        else {"x": str(fund.neg_solution[0]), "y": str(fund.neg_solution[1])},
+        else {"x": _json_int(fund.p), "y": _json_int(fund.q)},
         "cf_a0": str(expansion.a0),
         "cf_cycle": [str(a) for a in expansion.cycle],
     }
     lines = [
         f"sqrt({args.D}) = [{expansion.a0}; {', '.join(str(a) for a in expansion.cycle)} ...]",
-        f"fundamental solution: ({fund.t}, {fund.u}), unit norm {fund.unit_norm:+d}",
+        f"fundamental solution: ({_show_int(fund.t)}, {_show_int(fund.u)}), "
+        f"unit norm {fund.unit_norm:+d}",
     ]
     if fund.neg_solution is not None:
         lines.append(
-            f"negative equation solution: {fund.neg_solution}"
+            f"negative equation solution: ({_show_int(fund.p)}, {_show_int(fund.q)})"
         )
     return result, "\n".join(lines)
 

@@ -1,16 +1,16 @@
 """Pell equations via continued fractions, and the generalized forms a x^2 - b y^2 = eps.
 
 Everything is read off the middle of the period of sqrt(D) (Perron, Die Lehre von den
-Kettenbruechen, section 26): cf_sqrt walks half the period and mirrors the rest,
-fundamental_from_cf keeps the midpoint convergent (a balanced product tree whose leaves
-fold 64 terms each on small ints), the square root of the fundamental unit up to a
-small factor, and the solutions of a x^2 - b y^2 = eps with ab = D are read off it.
+Kettenbruechen, section 26). cf_sqrt keeps only the half period it walks (the mirrored
+cycle is built on read), the midpoint convergent is folded from that list in place (64-term
+leaves of a balanced product tree), the square root of the fundamental unit up to a small
+factor, and a x^2 - b y^2 = eps with ab = D is solved off it with no re-substitution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 from .arith import integer_sqrt, jacobi, sqrt_mod
@@ -37,15 +37,24 @@ _CONTINUANT_BLOCK = 64
 
 @dataclass(frozen=True)
 class CFExpansion:
-    """Canonical continued fraction of sqrt(D): [a0; cycle repeating]."""
+    """sqrt(D) = [a0; cycle repeating], kept as the walked half [a0, a_1, ..., a_h]."""
 
     D: int
-    a0: int
-    cycle: tuple[int, ...]
+    terms: list[int] = field(hash=False)
+    odd: bool
+
+    @property
+    def a0(self) -> int:
+        return self.terms[0]
 
     @property
     def period(self) -> int:
-        return len(self.cycle)
+        return 2 * len(self.terms) - 2 + self.odd
+
+    @cached_property
+    def cycle(self) -> tuple[int, ...]:
+        back = self.terms[:0:-1] if self.odd else self.terms[-2:0:-1]
+        return (*self.terms[1:], *back, 2 * self.a0)
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,8 @@ def cf_sqrt(D: int) -> CFExpansion:
 
     With (P_k + sqrt(D)) / Q_k the complete quotients, the walk stops at the
     first h with Q_h = Q_{h+1} (period 2h + 1) or P_h = P_{h+1} (period 2h),
-    and the rest of the cycle is the mirror image of a_1 .. a_h. A period of
+    and keeps a0 .. a_h; the rest of the cycle is the mirror image of a_1 .. a_h
+    (less a_h for an even period) and 2 a0, built only when read. A period of
     MAX_CF_PERIOD or more raises SearchExhaustedError.
     """
     if D <= 0:
@@ -107,19 +117,17 @@ def cf_sqrt(D: int) -> CFExpansion:
     a0, exact = integer_sqrt(D)
     if exact:
         raise InvalidInputError(f"{D} is a perfect square")
-    half: list[int] = []
+    terms = [a0]
     # Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), started from Q_{-1} = D
     m, q, q_prev, a = 0, 1, D, a0
     for _ in range(MAX_CF_PERIOD // 2):
         m_next = q * a - m
         q_next = q_prev + a * (m - m_next)
-        if q_next == q:
-            return CFExpansion(D, a0, (*half, *half[::-1], 2 * a0))
-        if m_next == m:
-            return CFExpansion(D, a0, (*half, *half[-2::-1], 2 * a0))
+        if q_next == q or m_next == m:
+            return CFExpansion(D, terms, q_next == q)
         m, q_prev, q = m_next, q, q_next
         a = (a0 + m) // q
-        half.append(a)
+        terms.append(a)
     raise SearchExhaustedError(
         f"the continued fraction of sqrt({D}) has a period of {MAX_CF_PERIOD} or more"
     )
@@ -135,16 +143,16 @@ def _mul(m: _Matrix, n: _Matrix) -> _Matrix:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _halve_to_two(terms: list[int]) -> list[_Matrix]:
-    """Balanced products of the matrices [[t, 1], [1, 0]], down to one or two.
+def _halve_to_two(terms: list[int], stop: int | None) -> list[_Matrix]:
+    """Balanced products of [[t, 1], [1, 0]] for t in terms[:stop], down to one or two.
 
     Each leaf folds a run of _CONTINUANT_BLOCK terms by p_k = t_k p_{k-1} + p_{k-2},
     and the same for q, on small ints; only the leaves are paired level by level.
     """
-    mats = []
-    for i in range(0, len(terms), _CONTINUANT_BLOCK):
+    mats, stop = [], len(terms) if stop is None else stop
+    for i in range(0, stop, _CONTINUANT_BLOCK):
         p, p0, q, q0 = 1, 0, 0, 1
-        for t in terms[i : i + _CONTINUANT_BLOCK]:
+        for t in terms[i : min(i + _CONTINUANT_BLOCK, stop)]:
             p, p0, q, q0 = t * p + p0, p, t * q + q0, q
         mats.append((p, p0, q, q0))
     while len(mats) > 2:
@@ -155,14 +163,14 @@ def _halve_to_two(terms: list[int]) -> list[_Matrix]:
     return mats
 
 
-def _convergent(terms: list[int]) -> _Matrix:
-    """(p_k, p_{k-1}, q_k, q_{k-1}) of [t0; t1, ..., tk] by balanced matrix products."""
-    return reduce(_mul, _halve_to_two(terms))
+def _convergent(terms: list[int], stop: int | None = None) -> _Matrix:
+    """(p_k, p_{k-1}, q_k, q_{k-1}) of [t0; ..., tk], tk = terms[stop - 1], by products."""
+    return reduce(_mul, _halve_to_two(terms, stop))
 
 
-def _convergent_pq(terms: list[int]) -> tuple[int, int]:
-    """(p_k, q_k) of [t0; t1, ..., tk]: only the first column of the top product."""
-    (a, b, c, d), *rest = _halve_to_two(terms)
+def _convergent_pq(terms: list[int], stop: int | None = None) -> tuple[int, int]:
+    """(p_k, q_k) of [t0; ..., tk], tk = terms[stop - 1]: one column of the top product."""
+    (a, b, c, d), *rest = _halve_to_two(terms, stop)
     e, _, g, _ = rest[0] if rest else (1, 0, 0, 1)
     return a * e + b * g, c * e + d * g
 
@@ -185,13 +193,12 @@ def fundamental_from_cf(exp: CFExpansion) -> PellFundamental:
     it is the minimal solution of x^2 - D y^2 = -1, x = p_h q_h + p_{h-1} q_{h-1},
     y = q_h^2 + q_{h-1}^2, with N = -1.
     """
-    D, h = exp.D, exp.period // 2
-    if exp.period % 2:
-        p1, p0, q1, q0 = _convergent([exp.a0, *exp.cycle[:h]])
+    D, h = exp.D, len(exp.terms) - 1
+    if exp.odd:
+        p1, p0, q1, q0 = _convergent(exp.terms, h + 1)
         p, q, norm = p1 * q1 + p0 * q0, q1 * q1 + q0 * q0, -1
     else:
-        p, q = _convergent_pq([exp.a0, *exp.cycle[: h - 1]])
-        norm = 1
+        (p, q), norm = _convergent_pq(exp.terms, h), 1
     N = p * p - D * q * q
     # t = (p^2 + D q^2) / |N| and u = 2pq / |N| give t^2 - D u^2 = N^2 / N^2,
     # so N | p^2 + D q^2 and N | 2pq stand in for the full-size check
@@ -215,9 +222,7 @@ def _extract(a: int, b: int, eps: int, fund: PellFundamental) -> tuple[int, int]
         x, y = q, p // b
     else:
         return None
-    if abs(eps) == 2 and x * y % 2 == 0:
-        return None
-    return x, y
+    return None if abs(eps) == 2 and x * y % 2 == 0 else (x, y)
 
 
 def _local_obstruction(a: int, b: int, eps: int, a_primes: list[int]) -> bool:
@@ -227,15 +232,11 @@ def _local_obstruction(a: int, b: int, eps: int, a_primes: list[int]) -> bool:
         if (a - b - eps) % 8:
             return True
     for p in a_primes:
-        if p == 2:
-            continue
         # mod p | a the equation reads -b y^2 = eps, so -eps/b must be square
-        if jacobi(-eps * pow(b, -1, p) % p, p) == -1:
+        if p != 2 and jacobi(-eps * pow(b, -1, p) % p, p) == -1:
             return True
     for p, _ in factorize(b).factors:
-        if p == 2:
-            continue
-        if jacobi(eps * pow(a, -1, p) % p, p) == -1:
+        if p != 2 and jacobi(eps * pow(a, -1, p) % p, p) == -1:
             return True
     return False
 
@@ -287,6 +288,11 @@ def solve_generalized(a: int, b: int, eps: int) -> GeneralizedSolution | None:
     D = ab, then replayed against a brute-force scan of the y below the
     claimed one (at most CROSS_CHECK_Y_BOUND) with a | b y^2 + eps; any
     disagreement raises InternalInvariantError.
+
+    No solution is substituted back. fundamental_from_cf checked N = p^2 - D q^2,
+    N | p^2 + D q^2 and N | 2pq exactly, so t^2 - D u^2 = N^2 / N^2 = 1; N = eps a and
+    a | p give a (p/a)^2 - b q^2 = N / a = eps, N = -eps b and b | p give
+    a q^2 - b (p/b)^2 = -N / b = eps; p, q > 0, and _extract checks xy odd if |eps| = 2.
     """
     if a < 1 or b < 1:
         raise InvalidInputError(f"need positive a, b; got ({a}, {b})")
@@ -317,12 +323,7 @@ def solve_generalized(a: int, b: int, eps: int) -> GeneralizedSolution | None:
             f"extraction {solution} disagrees with brute force {brute} for "
             f"{a} x^2 - {b} y^2 = {eps}"
         )
-    if solution is None:
-        return None
-    sol = GeneralizedSolution(a, b, eps, solution[0], solution[1])
-    if not sol.check():
-        raise InternalInvariantError(f"candidate solution fails substitution: {sol}")
-    return sol
+    return None if solution is None else GeneralizedSolution(a, b, eps, *solution)
 
 
 def iterate_solution(
@@ -363,16 +364,14 @@ def principal_class_ambiguous(
     if unit_norm(D) == -1:
         return None
     hits: list[tuple[QuadForm, GeneralizedSolution]] = []
-    for form in candidates.split_forms:
-        a, b = split_parameters(form)
-        sol = solve_generalized(a, b, 1)
-        if sol is not None:
-            hits.append((form, sol))
-    for form in candidates.half_forms:
-        a, b = half_parameters(form)
-        sol = solve_generalized(a, b, 2)
-        if sol is not None:
-            hits.append((form, sol))
+    for forms, parameters, eps in (
+        (candidates.split_forms, split_parameters, 1),
+        (candidates.half_forms, half_parameters, 2),
+    ):
+        for form in forms:
+            sol = solve_generalized(*parameters(form), eps)
+            if sol is not None:
+                hits.append((form, sol))
     if len(hits) != 1:
         raise InternalInvariantError(
             f"expected exactly one principal candidate for D={D}, found "

@@ -615,11 +615,16 @@ def _lambda_blocks(d: int, bound: int):
     square = (limit + 1) ** 2
     half = _LOG_SCALE * math.log2(limit + 1) / 2
     block = _SIEVE_BLOCK
+    # n^2 + d < 1 exactly for n < first_positive, so the walk starts at the
+    # block that holds it
+    first_positive = 0 if d > 0 else math.isqrt(-d) + 1
+    first_lo = first_positive - first_positive % block
     # A class with modulus up to the block length is walked through every
     # block. A coarser one hits a block at most once, so it waits in the
-    # bucket of the block that holds its next n; the work stays linear in
-    # the bound however many blocks there are. A bucket is a flat array of
-    # (step, n, p << 8 | weight); any step above the bound stands for m.
+    # bucket of the block that holds its next n from first_lo on; the work
+    # stays linear in the bound however many blocks there are. A bucket is a
+    # flat array of (step, n, p << 8 | weight); any step above the bound
+    # stands for m.
     small = []
     buckets = [array("q") for _ in range(bound // block + 1)]
     for p, roots in _sieve_roots(d, limit):
@@ -627,12 +632,13 @@ def _lambda_blocks(d: int, bound: int):
         for r, m in _power_classes(d, p, roots, top, bound):
             if m <= block:
                 small.append((m, r, _plus(w), p))
-            else:
-                buckets[r // block].extend((min(m, bound + 1), r, p << 8 | w))
-    # n^2 + d < 1 exactly for n < first_positive
-    first_positive = 0 if d > 0 else math.isqrt(-d) + 1
-    for b, lo in enumerate(range(0, bound + 1, block)):
-        size = min(block, bound + 1 - lo)
+                continue
+            step = min(m, bound + 1)
+            n = r + max(0, -((r - first_lo) // step)) * step
+            if n <= bound:
+                buckets[n // block].extend((step, n, p << 8 | w))
+    for lo in range(first_lo, bound + 1, block):
+        b, size = lo // block, min(block, bound + 1 - lo)
         odd, logs = bytearray(size), bytearray(size)
         capped = (lo + size - 1) ** 2 + d >= square
         product = [1] * size if capped else None

@@ -261,6 +261,34 @@ def test_pell_command(capsys):
     assert env["result"]["solution"] is None
 
 
+def test_pell_command_writes_a_huge_unit_without_a_traceback():
+    # t and u run far past the int-to-str digit limit: the JSON view writes
+    # them in hex, the human view by their bit length, and the limit stays
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for argv in (["pell", "8804767929867030"], ["pell", "1791383334047790", "--json"]):
+        runs[argv[1]] = run = subprocess.run(
+            [sys.executable, "-m", "liouwit.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == EXIT_OK, run.stderr
+        assert "Traceback" not in run.stderr
+    human = runs["8804767929867030"].stdout.splitlines()
+    assert human[1] == (
+        "fundamental solution: (<1576841-bit integer>, <1576815-bit integer>), unit norm +1"
+    )
+    env = json.loads(runs["1791383334047790"].stdout)
+    assert env["schema_version"] == SCHEMA_VERSION == "1.1.0"
+    t, u = env["result"]["t"], env["result"]["u"]
+    assert t.startswith("0x") and u.startswith("0x")
+    assert int(t, 0) ** 2 - 1791383334047790 * int(u, 0) ** 2 == 1
+    assert len(env["result"]["cf_cycle"]) == 216740
+
+
 def test_pell_command_rejects(capsys):
     assert main(["pell"]) == EXIT_INVALID_INPUT
     capsys.readouterr()

@@ -76,6 +76,20 @@ def test_convergent_pq_peak_memory():
     assert peak < 4 * 10**6
 
 
+def test_fundamental_solution_peak_memory():
+    # period 216,740: the half walk is held once and folded in place, so
+    # neither a mirrored cycle nor a copied term list is ever built
+    fundamental_solution.cache_clear()
+    tracemalloc.start()
+    try:
+        fund = fundamental_solution(1791383334047790)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fund.unit_norm == 1
+    assert peak < 2.5 * 10**6
+
+
 def test_fundamental_solution_satisfies_equation():
     for D in range(2, 150):
         if integer_sqrt(D)[1]:

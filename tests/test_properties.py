@@ -192,6 +192,26 @@ def test_sign_change_report_across_block_boundaries(monkeypatch):
             assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
 
 
+def test_sign_change_report_walks_no_block_below_the_first_defined_n(monkeypatch):
+    # n^2 + d < 1 for n < isqrt(-d) + 1; with a block length of 7 several
+    # blocks lie wholly below that n. Each walked block allocates its parity
+    # and log bytes, so counting the allocations counts the blocks walked.
+    monkeypatch.setattr(witness, "_SIEVE_BLOCK", 7)
+    allocated, real = [], bytearray
+
+    def counting(size):
+        allocated.append(size)
+        return real(size)
+
+    monkeypatch.setattr(witness, "bytearray", counting, raising=False)
+    for d in (-2000, -(48**2), -900, -(2**20), -(3**4 * 5**3 * 7), -2 * 3**9):
+        first = math.isqrt(-d) + 1
+        for bound in (first - 1, first, first + 6, first + 60, 3 * first):
+            allocated.clear()
+            assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
+            assert len(allocated) == 2 * max(0, bound // 7 - first // 7 + 1), (d, bound)
+
+
 @pytest.mark.parametrize(
     "factors, residual",
     [
@@ -278,6 +298,23 @@ def test_half_period_pell_matches_the_full_period(D):
     fund = fundamental_solution(D)
     assert (fund.t, fund.u) == unit_from_full_period(D)
     assert fund.unit_norm == (-1 if exp.period % 2 else 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=600), st.integers(min_value=1, max_value=600))
+def test_solve_generalized_solutions_substitute_back(a, b):
+    # solve_generalized substitutes no solution back, since the midpoint
+    # identity implies it; this keeps that substitution in the suite. Both
+    # orders and all four eps are tried, as few of them are solvable.
+    if math.gcd(a, b) != 1 or math.isqrt(a * b) ** 2 == a * b:
+        return
+    for a, b in ((a, b), (b, a)):
+        for eps in (1, -1, 2, -2):
+            sol = pell.solve_generalized(a, b, eps)
+            if sol is not None:
+                assert (sol.a, sol.b, sol.eps) == (a, b, eps)
+                assert a * sol.x**2 - b * sol.y**2 == eps and sol.x > 0 and sol.y > 0
+                assert abs(eps) == 1 or sol.x * sol.y % 2 == 1
 
 
 def product_left_to_right(terms: list[int]) -> tuple[int, int, int, int]:
