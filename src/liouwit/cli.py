@@ -1,11 +1,12 @@
 """Command line interface.
 
-Subcommands: lambda, construct-m, witness, genus, pell, verify.  Every command
-can emit a JSON envelope {schema_version, command, input, result, timing} with
-all big integers rendered as decimal strings; pell writes one above the
-int-to-str digit limit as a "0x..." hex string, and its human view gives such
-an integer by its bit length.  Exit codes: 0 success, 2 invalid input, 3
-verification failure, 4 resource cap exhausted, 5 internal assertion violated.
+Subcommands: lambda, construct-m, witness, genus, pell, sign-report, verify.
+Every command can emit a JSON envelope {schema_version, command, input, result,
+timing} with all big integers rendered as decimal strings; pell writes one above
+the int-to-str digit limit as a "0x..." hex string, and its human view gives
+such an integer by its bit length and a long cycle by its first ten terms and
+its length.  Exit codes: 0 success, 2 invalid input, 3 verification failure,
+4 resource cap exhausted, 5 internal assertion violated.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ EXIT_INVALID_INPUT = 2
 EXIT_VERIFICATION_FAILURE = 3
 EXIT_RESOURCE_CAP = 4
 EXIT_INTERNAL_ASSERTION = 5
+
+# the human view of pell prints at most this many cycle terms; --json prints all
+CF_TERMS_SHOWN = 10
 
 
 def _json_int(n: int) -> str:
@@ -213,8 +217,13 @@ def cmd_pell(args) -> tuple[dict, str]:
         "cf_a0": str(expansion.a0),
         "cf_cycle": [str(a) for a in expansion.cycle],
     }
+    shown = ", ".join(str(a) for a in expansion.cycle[:CF_TERMS_SHOWN])
+    if expansion.period > CF_TERMS_SHOWN:
+        shown += f", ... ({expansion.period:,} terms)"
+    else:
+        shown += " ..."
     lines = [
-        f"sqrt({args.D}) = [{expansion.a0}; {', '.join(str(a) for a in expansion.cycle)} ...]",
+        f"sqrt({args.D}) = [{expansion.a0}; {shown}]",
         f"fundamental solution: ({_show_int(fund.t)}, {_show_int(fund.u)}), "
         f"unit norm {fund.unit_norm:+d}",
     ]

@@ -58,24 +58,6 @@ def evaluate(f: QuadForm, x: int, y: int) -> int:
     return f.a * x * x + f.b * x * y + f.c * y * y
 
 
-def is_ambiguous(f: QuadForm) -> bool:
-    """A form (a, b, c) is ambiguous when a divides b."""
-    if f.a == 0:
-        return f.b == 0
-    return f.b % f.a == 0
-
-
-def identity_form(d_form: int) -> QuadForm:
-    """The principal form of discriminant d_form."""
-    if d_form % 4 not in (0, 1):
-        raise InvalidInputError(f"{d_form} is not a discriminant (need 0 or 1 mod 4)")
-    if d_form >= 0 and integer_sqrt(d_form)[1]:
-        raise InvalidInputError(f"square discriminant {d_form} is degenerate")
-    if d_form % 4 == 0:
-        return QuadForm(1, 0, -d_form // 4)
-    return QuadForm(1, 1, (1 - d_form) // 4)
-
-
 def split_parameters(f: QuadForm) -> tuple[int, int]:
     """Recover (a, b) with f = (a, 0, -b)."""
     return f.a, -f.c

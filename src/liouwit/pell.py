@@ -4,7 +4,9 @@ Everything is read off the middle of the period of sqrt(D) (Perron, Die Lehre vo
 Kettenbruechen, section 26). cf_sqrt keeps only the half period it walks (the mirrored
 cycle is built on read), the midpoint convergent is folded from that list in place (64-term
 leaves of a balanced product tree), the square root of the fundamental unit up to a small
-factor, and a x^2 - b y^2 = eps with ab = D is solved off it with no re-substitution.
+factor, and a x^2 - b y^2 = eps with ab = D is solved off it. That solution is proven
+least by the midpoint argument in solve_generalized; it is neither substituted back nor
+replayed against a brute-force scan (the tests hold that scan as an oracle).
 """
 
 from __future__ import annotations
@@ -13,18 +15,14 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
-from .arith import integer_sqrt, jacobi, sqrt_mod
+from .arith import integer_sqrt
 from .errors import InternalInvariantError, InvalidInputError, SearchExhaustedError
-from .factor import factorize
 from .forms import (
     QuadForm,
     enumerate_ambiguous_candidates,
     half_parameters,
     split_parameters,
 )
-
-# agreement window for the double-entry brute check inside solve_generalized
-CROSS_CHECK_Y_BOUND = 10**4
 
 # cf_sqrt refuses a period of this length or more; even, so that the half
 # walk stops exactly there. Twice the longest period any test or benchmark
@@ -225,69 +223,24 @@ def _extract(a: int, b: int, eps: int, fund: PellFundamental) -> tuple[int, int]
     return None if abs(eps) == 2 and x * y % 2 == 0 else (x, y)
 
 
-def _local_obstruction(a: int, b: int, eps: int, a_primes: list[int]) -> bool:
-    """True when a x^2 - b y^2 = eps is insoluble for congruence reasons."""
-    if abs(eps) == 2:
-        # xy odd forces x^2 = y^2 = 1 mod 8, hence a - b = eps mod 8
-        if (a - b - eps) % 8:
-            return True
-    for p in a_primes:
-        # mod p | a the equation reads -b y^2 = eps, so -eps/b must be square
-        if p != 2 and jacobi(-eps * pow(b, -1, p) % p, p) == -1:
-            return True
-    for p, _ in factorize(b).factors:
-        if p != 2 and jacobi(eps * pow(a, -1, p) % p, p) == -1:
-            return True
-    return False
-
-
-def _brute_minimal(a: int, b: int, eps: int, y_bound: int) -> tuple[int, int] | None:
-    """Smallest-y solution with y <= y_bound, by a scan of the y with a | b y^2 + eps.
-
-    For each prime p of a such y are the square roots of -eps/b mod p, so the
-    scan walks only their CRT classes. Primes of a join the modulus in
-    ascending order while it stays at most y_bound; the primes left out, and
-    the prime powers of a, are caught by the divisibility test itself.
-    """
-    a_primes = [p for p, _ in factorize(a).factors]
-    if _local_obstruction(a, b, eps, a_primes):
-        return None
-    modulus, classes = 1, [0]
-    for p in a_primes:
-        if modulus * p > y_bound:
-            break
-        # not an obstruction, so -eps/b is a square mod p (0 only for p = 2)
-        root = sqrt_mod(-eps * pow(b, -1, p), p)
-        lift = pow(modulus, -1, p)
-        classes = [
-            c + modulus * ((r - c) * lift % p) for c in classes for r in {root, -root % p}
-        ]
-        modulus *= p
-    classes.sort()
-    for base in range(0, y_bound + 1, modulus):
-        for c in classes:
-            y = base + c
-            if y > y_bound:
-                return None
-            num = b * y * y + eps
-            if y == 0 or num <= 0 or num % a:
-                continue
-            x, exact = integer_sqrt(num // a)
-            if exact and x > 0:
-                if abs(eps) == 2 and x * y % 2 == 0:
-                    continue
-                return x, y
-    return None
-
-
 def solve_generalized(a: int, b: int, eps: int) -> GeneralizedSolution | None:
     """Minimal positive solution of a x^2 - b y^2 = eps, or None if unsolvable.
 
-    eps is one of 1, -1, 2, -2; solutions with |eps| = 2 must have xy odd.
-    Solutions are read off the midpoint pair of the fundamental solution of
-    D = ab, then replayed against a brute-force scan of the y below the
-    claimed one (at most CROSS_CHECK_Y_BOUND) with a | b y^2 + eps; any
-    disagreement raises InternalInvariantError.
+    eps is one of 1, -1, 2, -2; solutions with |eps| = 2 must have xy odd. The
+    answer is read off the midpoint, (p + q sqrt(D))^2 = |N| e with D = ab and
+    e = t + u sqrt(D), and is proven least (Nagell 1951), so nothing replays it:
+    1. With s = x sqrt(a) + y sqrt(b), s^2 / |eps| lies in Z[sqrt(D)] (xy odd makes
+       a, b odd when |eps| = 2) and has norm 1, so s^2 = |eps| e^k with k >= 1.
+    2. If k >= 2, s / e = x' sqrt(a) + y' sqrt(b) solves the same equation with
+       0 <= y' < y, and x'y' stays odd when |eps| = 2 (t is even when u is odd).
+       x'y' = 0 only for (a, eps) = (1, 1) or (b, eps) = (1, -1), answered by
+       (t, u) and (u, t); in every other case the least solution has k = 1.
+    3. Then sqrt(a) s = ax + y sqrt(D) squares to a|eps| e, so its ratio to
+       p + q sqrt(D) squares to a rational. Hence it, or sqrt(b) s = by + x sqrt(D),
+       is r (p + q sqrt(D)) with r rational. gcd(p, q) = 1, and
+       gcd(ax, y) = gcd(by, x) = 1 (each divides eps, odd if |eps| = 2), so r = 1:
+       p = ax, q = y, N = eps a, or p = by, q = x, N = -eps b. That is _extract's
+       test, so the k = 1 solution is the one it returns, and None means none.
 
     No solution is substituted back. fundamental_from_cf checked N = p^2 - D q^2,
     N | p^2 + D q^2 and N | 2pq exactly, so t^2 - D u^2 = N^2 / N^2 = 1; N = eps a and
@@ -312,17 +265,6 @@ def solve_generalized(a: int, b: int, eps: int) -> GeneralizedSolution | None:
         solution = (fund.u, fund.t)
     else:
         solution = _extract(a, b, eps, fund)
-
-    # scanning past the claimed minimum is pointless: only a smaller hit matters
-    window = CROSS_CHECK_Y_BOUND
-    if solution is not None:
-        window = min(window, solution[1])
-    brute = _brute_minimal(a, b, eps, window)
-    if brute is not None and brute != solution:
-        raise InternalInvariantError(
-            f"extraction {solution} disagrees with brute force {brute} for "
-            f"{a} x^2 - {b} y^2 = {eps}"
-        )
     return None if solution is None else GeneralizedSolution(a, b, eps, *solution)
 
 

@@ -438,23 +438,6 @@ def plus_witnesses(
     return _witness_stream(d, 1, count, cap, budget, scan_bound)
 
 
-def scale_witness(w: Witness, scale: int) -> Witness:
-    """Lift a witness for core d0 to one for d0 * scale^2 via n -> n * scale."""
-    if scale < 1:
-        raise InvalidInputError(f"scale must be positive, got {scale}")
-    if scale == 1:
-        return w
-    d = w.d * scale * scale
-    n = w.n * scale
-    value = w.value * scale * scale
-    fact = None
-    if w.factorization is not None:
-        fact = merge_factorizations([w.factorization, _squared(factorize(scale))])
-        if fact.value != value:
-            raise InternalInvariantError("scaled factorization is inconsistent")
-    return Witness(d, n, value, fact, w.lambda_value, PROV_SCALED, w.verified)
-
-
 def _sieve_limit(d: int, bound: int) -> int:
     """Largest prime the sign sieve divides out of n^2 + d for n <= bound.
 

@@ -278,6 +278,9 @@ def test_pell_command_writes_a_huge_unit_without_a_traceback():
         assert run.returncode == EXIT_OK, run.stderr
         assert "Traceback" not in run.stderr
     human = runs["8804767929867030"].stdout.splitlines()
+    assert human[0] == (
+        "sqrt(8804767929867030) = [93833724; 1, 9, 1, 2, 1, 1, 4, 5, 1, 7, ... (918,548 terms)]"
+    )
     assert human[1] == (
         "fundamental solution: (<1576841-bit integer>, <1576815-bit integer>), unit norm +1"
     )

@@ -11,8 +11,6 @@ from liouwit import (
     enumerate_ambiguous_candidates,
     evaluate,
     half_parameters,
-    identity_form,
-    is_ambiguous,
     represented_value_coprime,
     split_parameters,
 )
@@ -37,25 +35,6 @@ def test_evaluate():
     assert evaluate(f, 1, 1) == 0
     assert evaluate(f, 2, 1) == 9
     assert evaluate(f, 0, 2) == -20
-
-
-def test_is_ambiguous():
-    assert is_ambiguous(QuadForm(3, 0, -2))
-    assert is_ambiguous(QuadForm(10, 10, 1))
-    assert is_ambiguous(QuadForm(3, 6, 1))
-    assert not is_ambiguous(QuadForm(3, 2, -1))
-    assert is_ambiguous(QuadForm(0, 0, 5))
-    assert not is_ambiguous(QuadForm(0, 3, 5))
-
-
-def test_identity_form():
-    assert identity_form(4 * 6) == QuadForm(1, 0, -6)
-    assert identity_form(5) == QuadForm(1, 1, -1)
-    assert identity_form(-4) == QuadForm(1, 0, 1)
-    with pytest.raises(InvalidInputError):
-        identity_form(6)  # 2 mod 4
-    with pytest.raises(InvalidInputError):
-        identity_form(16)  # square
 
 
 def test_enumerate_candidates_d6():

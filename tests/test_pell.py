@@ -249,30 +249,50 @@ def plain_scan(a, b, eps, y_bound, y_classes):
     return None
 
 
-def test_brute_minimal_matches_the_plain_scan():
+def test_solve_generalized_matches_the_plain_scan():
     # The oracle visits every y up to the window whose class mod a passes the
-    # plain test a | b y^2 + eps, one period of y scanned residue by residue;
-    # _brute_minimal gets its classes from square roots and the CRT instead.
-    # Windows 1 and 37 run on every split of D < 3000, the full window of
-    # 10^4 on every split of D < 1000 with a > 1 (a = 1 has a single class,
-    # so both then visit every y).
+    # plain test a | b y^2 + eps, one period of y scanned residue by residue.
+    # solve_generalized reads its answer off the midpoint and replays nothing,
+    # so within the window it must be the oracle's hit, and a solution beyond
+    # the window means the oracle finds none. The window is 10^4 on every
+    # split of D < 1000 and 37 above that.
     cases = 0
     for D in range(2, 3000):
         if any(D % (p * p) == 0 for p in range(2, math.isqrt(D) + 1)):
             continue
         if math.isqrt(D) ** 2 == D:
             continue
+        window = 10**4 if D < 1000 else 37
         for a in range(1, D + 1):
             if D % a:
                 continue
             b = D // a
-            windows = (1, 37, 10**4) if a > 1 and D < 1000 else (1, 37)
-            period = [b * r * r % a for r in range(min(a, windows[-1] + 1))]
+            period = [b * r * r % a for r in range(min(a, window + 1))]
             for eps in (1, -1, 2, -2):
                 y_classes = [r for r, v in enumerate(period) if (v + eps) % a == 0]
-                want = plain_scan(a, b, eps, windows[-1], y_classes)
-                for window in windows:
-                    fits = want if want is not None and want[1] <= window else None
-                    assert pell._brute_minimal(a, b, eps, window) == fits, (a, b, eps, window)
-                    cases += 1
-    assert cases > 75_000
+                want = plain_scan(a, b, eps, window, y_classes)
+                sol = solve_generalized(a, b, eps)
+                got = None if sol is None else (sol.x, sol.y)
+                fits = got if got is not None and got[1] <= window else None
+                assert want == fits, (a, b, eps)
+                cases += 1
+    assert cases > 35_000
+
+
+def test_solve_generalized_factors_nothing(monkeypatch):
+    # the midpoint answer is proven least, so no brute-force replay factors a or b
+    from liouwit import factor
+
+    calls = []
+    real = factor.factorize
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    for module in (factor, pell):
+        monkeypatch.setattr(module, "factorize", counting, raising=False)
+    assert solve_generalized(1705, 6, 1) == GeneralizedSolution(1705, 6, 1, 7, 118)
+    assert solve_generalized(3, 143, 1) == GeneralizedSolution(3, 143, 1, 504, 73)
+    assert solve_generalized(1, 2, -1) == GeneralizedSolution(1, 2, -1, 1, 1)
+    assert calls == []

@@ -18,7 +18,6 @@ from liouwit import (
     minus_witnesses,
     plan,
     plus_witnesses,
-    scale_witness,
     sign_change_report,
 )
 from liouwit.witness import (
@@ -287,17 +286,6 @@ def test_to_json_dict():
 
     unverified = Witness(6, 708, 501270, None, -1, "certificate", False)
     assert unverified.to_json_dict()["factorization"] is None
-
-
-def test_scale_witness():
-    base = minus_witnesses(6, 1)[0]
-    lifted = scale_witness(base, 3)
-    assert (lifted.d, lifted.n, lifted.value) == (54, 2124, 4511430)
-    assert lifted.provenance == "scaled"
-    assert lifted.factorization.value == lifted.value
-    assert scale_witness(base, 1) is base
-    with pytest.raises(InvalidInputError):
-        scale_witness(base, 0)
 
 
 def test_sign_change_report_pinned():
