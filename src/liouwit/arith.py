@@ -53,9 +53,6 @@ class ResidueClass:
                 f"residue {self.residue} out of range for modulus {self.modulus}"
             )
 
-    def contains(self, n: int) -> bool:
-        return n % self.modulus == self.residue
-
     def __str__(self) -> str:
         return f"{self.residue} mod {self.modulus}"
 

@@ -215,8 +215,9 @@ def cmd_pell(args) -> tuple[dict, str]:
         if fund.neg_solution is None
         else {"x": _json_int(fund.p), "y": _json_int(fund.q)},
         "cf_a0": str(expansion.a0),
-        "cf_cycle": [str(a) for a in expansion.cycle],
     }
+    if args.json:  # the human view prints only the first terms
+        result["cf_cycle"] = [str(a) for a in expansion.cycle]
     shown = ", ".join(str(a) for a in expansion.cycle[:CF_TERMS_SHOWN])
     if expansion.period > CF_TERMS_SHOWN:
         shown += f", ... ({expansion.period:,} terms)"

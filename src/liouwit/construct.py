@@ -13,7 +13,8 @@ by the same residue system, so they are recorded rather than excluded, and the
 certificate's equation is made solvable by advancing e2 until the principal
 class lands on the predicted split.
 
-verify_certificate recomputes every claim from raw integers and trusts nothing.
+verify_certificate recomputes every claim from raw integers and trusts nothing. It runs
+no continued fraction: unit norm +1 is derived from the structural gate and the evidence.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 from .factor import squarefree_primes
 from .forms import QuadForm, enumerate_ambiguous_candidates
 from .genus import assigned_characters, generic_values
-from .pell import GeneralizedSolution, principal_class_ambiguous, solve_generalized, unit_norm
+from .pell import GeneralizedSolution, principal_class_ambiguous, solve_generalized
 
 # successive e2 re-rolls are coin-flip events for which ambiguous class is
 # principal, so a small bound is already conservative
@@ -502,28 +503,34 @@ def _run_clause(name: str, body) -> ClauseResult:
     return ClauseResult(name, True, note)
 
 
-# Clauses that cost a continued fraction or a candidate scan of D. They run
-# only after the first, structural clause has tied D to the certificate's
-# primes; otherwise a tampered D could cost without bound.
-_GATED_CLAUSES = ("unit_norm", "genus_uniqueness")
+# clause -> the clauses it rests on, by position in the clause list (0: the
+# structural gate, -1: the evidence). While one fails, the clause fails as
+# "depends on" it, unrun; a clause without a body then passes. genus_uniqueness
+# scans the candidates of D, so it waits for the gate to tie D to the primes.
+#
+# unit_norm has no body: gate and evidence prove it. The gate shows a, b > 1
+# coprime and square-free with ab = D, the evidence a x^2 - b y^2 = 1 with
+# x, y >= 1. So the fundamental unit e of Z[sqrt(D)] has norm +1 (Nagell 1951;
+# Perron, Kettenbrueche, section 26):
+# 1. alpha = x sqrt(a) + y sqrt(b) has alpha^2 = (a x^2 + b y^2) + 2xy sqrt(D),
+#    a unit of norm (a x^2 - b y^2)^2 = 1.
+# 2. Were N(e) = -1, every unit of norm +1 above 1 would be e^(2j), so
+#    alpha = e^j would lie in Q(sqrt(D)).
+# 3. It does not: 1, sqrt(a), sqrt(b), sqrt(ab) are independent over Q, x != 0.
+_RESTS_ON = {"unit_norm": (0, -1), "genus_uniqueness": (0,)}
 
 
 def _run_clauses(subject: str, names: tuple[str, ...], bodies) -> VerificationReport:
-    gate = names[0]
-    results: list[ClauseResult] = []
-    for name in names:
-        if name in _GATED_CLAUSES and not results[0].passed:
-            results.append(ClauseResult(name, False, f"depends on {gate}"))
+    results = {name: _run_clause(name, bodies[name]) for name in names if name not in _RESTS_ON}
+    for name, basis in _RESTS_ON.items():
+        failed = [names[i] for i in basis if not results[names[i]].passed]
+        if failed:
+            results[name] = ClauseResult(name, False, f"depends on {failed[0]}")
+        elif name in bodies:
+            results[name] = _run_clause(name, bodies[name])
         else:
-            results.append(_run_clause(name, bodies[name]))
-    return VerificationReport(subject, tuple(results))
-
-
-def _clause_unit_norm(D: int) -> list[str]:
-    norm = unit_norm(D)
-    if norm != 1:
-        return [f"fundamental unit norm for D = {D} is {norm}, want +1"]
-    return []
+            results[name] = ClauseResult(name, True)
+    return VerificationReport(subject, tuple(results[name] for name in names))
 
 
 def _clause_genus(cert: MCertificate | PrimePairCertificate) -> tuple[list[str], str]:
@@ -582,11 +589,12 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
     primality_congruence checks are at least two distinct primes in canonical
     order with product d. Clauses, in order: primality and congruence classes;
     the symbol table with its cross conditions; the derived symbol
-    consequences; the lambda flip; unit norm +1 for D; uniqueness of the
-    predicted form among the ambiguous split candidates in the principal genus
-    (half candidates are scanned too and any passers recorded in the clause
-    note); and the Pell evidence arithmetic. While primality_congruence fails, unit_norm and
-    genus_uniqueness are not run and fail as "depends on primality_congruence".
+    consequences; the lambda flip; unit norm +1 for D, derived from
+    primality_congruence and pell_evidence without a continued fraction;
+    uniqueness of the predicted form among the ambiguous split candidates in
+    the principal genus (half candidates are scanned too and any passers
+    recorded in the clause note); and the Pell evidence arithmetic. A clause
+    fails as "depends on X", unrun, while a clause X it rests on fails (_RESTS_ON).
     """
 
     def clause_primality() -> list[str]:
@@ -723,7 +731,6 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
         "symbol_table": clause_symbols,
         "consequences": clause_consequences,
         "lambda_flip": clause_lambda,
-        "unit_norm": lambda: _clause_unit_norm(cert.D),
         "genus_uniqueness": lambda: _clause_genus(cert),
         "pell_evidence": lambda: _clause_evidence(cert.pell_evidence, expected_ab),
     }
@@ -733,8 +740,8 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
 def verify_prime_pair(cert: PrimePairCertificate) -> VerificationReport:
     """Re-derive every property of a PrimePairCertificate from scratch.
 
-    While structure fails, unit_norm and genus_uniqueness are not run and fail
-    as "depends on structure".
+    unit_norm is derived from structure and evidence without a continued
+    fraction; a clause fails as "depends on X" while X fails (_RESTS_ON).
     """
 
     def clause_structure() -> list[str]:
@@ -768,7 +775,6 @@ def verify_prime_pair(cert: PrimePairCertificate) -> VerificationReport:
     bodies = {
         "structure": clause_structure,
         "symbols": clause_symbols,
-        "unit_norm": lambda: _clause_unit_norm(cert.D),
         "genus_uniqueness": lambda: _clause_genus(cert),
         "evidence": lambda: _clause_evidence(cert.evidence, (cert.p, cert.m)),
     }

@@ -49,10 +49,6 @@ class AmbiguousCandidateList:
     split_forms: tuple[QuadForm, ...]
     half_forms: tuple[QuadForm, ...]
 
-    @property
-    def all_forms(self) -> tuple[QuadForm, ...]:
-        return self.split_forms + self.half_forms
-
 
 def evaluate(f: QuadForm, x: int, y: int) -> int:
     return f.a * x * x + f.b * x * y + f.c * y * y

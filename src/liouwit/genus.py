@@ -78,6 +78,8 @@ def generic_values(f: QuadForm, sys: CharacterSystem) -> GenericValues:
         raise InvalidInputError(
             f"form {f} has discriminant {f.discriminant}, expected {4 * sys.D}"
         )
+    if not f.is_valid():
+        raise InvalidInputError(f"form {f} is not primitive")
     theta, x, y = represented_value_coprime(f, sys.D)
     return GenericValues(sys.evaluate(theta), theta, (x, y))
 

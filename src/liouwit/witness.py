@@ -92,16 +92,6 @@ BRANCH_COMPOSITE_DIRECT = "composite_direct"
 BRANCH_COMPOSITE_CERT_PLUS = "composite_certificate_plus"
 BRANCH_COMPOSITE_CERT_MINUS = "composite_certificate_minus"
 
-BRANCHES = (
-    BRANCH_SQUARE_CORE,
-    BRANCH_PRIME_PLUS,
-    BRANCH_PRIME_MINUS_1MOD4,
-    BRANCH_PRIME_MINUS_3MOD4,
-    BRANCH_COMPOSITE_DIRECT,
-    BRANCH_COMPOSITE_CERT_PLUS,
-    BRANCH_COMPOSITE_CERT_MINUS,
-)
-
 
 @dataclass(frozen=True)
 class Witness:

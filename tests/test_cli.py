@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,9 @@ def test_genus_command(capsys):
     capsys.readouterr()
     assert main(["genus", "12"]) == EXIT_INVALID_INPUT
     capsys.readouterr()
+    # every value of an imprimitive form shares its content: refused unsearched
+    assert main(["genus", "5", "--form", "2,2,-2"]) == EXIT_INVALID_INPUT
+    assert "not primitive" in capsys.readouterr().err
 
 
 def test_pell_command(capsys):
@@ -259,6 +263,19 @@ def test_pell_command(capsys):
 
     code, env = run_json(capsys, ["pell", "--a", "2", "--b", "3"])
     assert env["result"]["solution"] is None
+
+
+def test_pell_human_view_builds_no_cycle_strings(capsys):
+    # the human view prints ten of the 216,740 cycle terms; only --json
+    # writes them all
+    tracemalloc.start()
+    try:
+        assert main(["pell", "1791383334047790"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "(216,740 terms)" in capsys.readouterr().out
+    assert peak < 8_000_000
 
 
 def test_pell_command_writes_a_huge_unit_without_a_traceback():

@@ -311,6 +311,9 @@ def test_verify_certificate_tamper(field, value, clause):
     assert clause in report.failures
     if clause == "primality_congruence":
         assert_gated(report, clause)
+    if clause == "pell_evidence":
+        details = {c.name: c.detail for c in report.clauses}
+        assert details["unit_norm"] == "depends on pell_evidence"
 
 
 @pytest.mark.parametrize(
@@ -404,6 +407,9 @@ def test_verify_prime_pair_tamper(field, value, clause):
     assert clause in report.failures
     if clause == "structure":
         assert_gated(report, clause)
+    if clause == "evidence":
+        details = {c.name: c.detail for c in report.clauses}
+        assert details["unit_norm"] == "depends on evidence"
 
 
 def test_verify_prime_pair_wrong_symbols():
@@ -470,4 +476,32 @@ def test_genus_clause_factors_nothing(monkeypatch, build):
     for module in (factor, forms, genus, construct):
         monkeypatch.setattr(module, "factorize", counting, raising=False)
     assert construct._clause_genus(cert) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "build,verify",
+    [
+        (lambda: construct_M(6, 1), verify_certificate),
+        (lambda: construct_M(210, -1), verify_certificate),
+        (lambda: construct_prime_pair(7), verify_prime_pair),
+    ],
+    ids=["m_certificate_6", "m_certificate_210", "prime_pair_7"],
+)
+def test_verifier_runs_no_continued_fraction(monkeypatch, build, verify):
+    # unit_norm is derived from the gate and the evidence, so the verifier
+    # expands no sqrt(D), even with the Pell cache cold
+    from liouwit import pell
+
+    cert = build()
+    pell.fundamental_solution.cache_clear()
+    calls = []
+    real = pell.cf_sqrt
+
+    def counting(D):
+        calls.append(D)
+        return real(D)
+
+    monkeypatch.setattr(pell, "cf_sqrt", counting)
+    assert verify(cert).passed
     assert calls == []

@@ -41,7 +41,6 @@ def test_enumerate_candidates_d6():
     cands = enumerate_ambiguous_candidates(6)
     assert cands.split_forms == (QuadForm(2, 0, -3), QuadForm(3, 0, -2))
     assert cands.half_forms == ()  # 6 = 2 mod 4
-    assert cands.all_forms == cands.split_forms
 
 
 def test_enumerate_candidates_d15():
@@ -54,7 +53,7 @@ def test_enumerate_candidates_d15():
         QuadForm(10, 10, 1),
         QuadForm(30, 30, 7),
     )
-    for f in cands.all_forms:
+    for f in cands.split_forms + cands.half_forms:
         assert f.discriminant == 4 * 15
 
 
@@ -105,7 +104,8 @@ def test_represented_value_large_split():
 
 def test_represented_value_properties():
     for D in (6, 10, 15, 21, 30):
-        for f in enumerate_ambiguous_candidates(D).all_forms:
+        cands = enumerate_ambiguous_candidates(D)
+        for f in cands.split_forms + cands.half_forms:
             theta, x, y = represented_value_coprime(f, D)
             assert theta > 0
             assert math.gcd(theta, 2 * D) == 1

@@ -91,6 +91,8 @@ def test_in_principal_genus_rejects_unsupported():
         in_principal_genus(QuadForm(1, 1, -1))  # odd discriminant
     with pytest.raises(InvalidInputError):
         in_principal_genus(QuadForm(1, 0, 1))  # negative discriminant
+    with pytest.raises(InvalidInputError):
+        in_principal_genus(QuadForm(2, 2, -2))  # imprimitive: every value even
 
 
 def test_principal_genus_candidates_d15():
@@ -100,7 +102,7 @@ def test_principal_genus_candidates_d15():
     cands = enumerate_ambiguous_candidates(15)
     values = {
         str(f): generic_values(f, assigned_characters(15)).values
-        for f in cands.all_forms
+        for f in cands.split_forms + cands.half_forms
     }
     assert values == {
         "(3, 0, -5)": (1, -1, -1),
@@ -110,5 +112,5 @@ def test_principal_genus_candidates_d15():
         "(10, 10, 1)": (1, 1, 1),
         "(30, 30, 7)": (1, -1, -1),
     }
-    passers = [f for f in cands.all_forms if in_principal_genus(f)]
+    passers = [f for f in cands.split_forms + cands.half_forms if in_principal_genus(f)]
     assert passers == [QuadForm(10, 10, 1)]

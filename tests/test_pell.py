@@ -110,6 +110,20 @@ def test_unit_norm_pinned():
     assert unit_norm(15) == 1
 
 
+def test_solvable_split_forces_unit_norm_plus_one():
+    # the verifier derives its unit_norm clause from this: a x^2 - b y^2 = 1
+    # with a, b > 1 and ab = D square-free forces the fundamental unit to norm +1
+    splits = 0
+    for D in range(2, 5000):
+        if any(D % (p * p) == 0 for p in range(2, math.isqrt(D) + 1)):
+            continue
+        for a in range(2, D // 2 + 1):
+            if D % a == 0 and solve_generalized(a, D // a, 1) is not None:
+                assert unit_norm(D) == 1, (a, D // a)
+                splits += 1
+    assert splits == 1623
+
+
 def test_solve_generalized_pinned():
     assert solve_generalized(3, 2, 1) == GeneralizedSolution(3, 2, 1, 1, 1)
     assert solve_generalized(2, 3, 1) is None
