@@ -218,7 +218,10 @@ def cmd_pell(args) -> tuple[dict, str]:
     }
     if args.json:  # the human view prints only the first terms
         result["cf_cycle"] = [str(a) for a in expansion.cycle]
-    shown = ", ".join(str(a) for a in expansion.cycle[:CF_TERMS_SHOWN])
+    head = expansion.terms[1 : CF_TERMS_SHOWN + 1]  # the cycle opens with the walked half
+    if len(head) < CF_TERMS_SHOWN:
+        head = expansion.cycle[:CF_TERMS_SHOWN]
+    shown = ", ".join(str(a) for a in head)
     if expansion.period > CF_TERMS_SHOWN:
         shown += f", ... ({expansion.period:,} terms)"
     else:

@@ -39,8 +39,8 @@ from .errors import (
     SearchExhaustedError,
 )
 from .factor import squarefree_primes
-from .forms import QuadForm, enumerate_ambiguous_candidates
-from .genus import assigned_characters, generic_values
+from .forms import QuadForm
+from .genus import assigned_characters, principal_genus_candidates
 from .pell import GeneralizedSolution, principal_class_ambiguous, solve_generalized
 
 # successive e2 re-rolls are coin-flip events for which ambiguous class is
@@ -538,17 +538,15 @@ def _clause_genus(cert: MCertificate | PrimePairCertificate) -> tuple[list[str],
 
     Half candidates exist only for D = 3 mod 4 (never for a prime pair, whose
     D = p e1 e2 is 1 mod 4); principal-genus ones are recorded in the note.
-    The assigned characters of 4D are built once, and a candidate is in the
-    principal genus when all its generic values are +1. D is not factored: the
-    gate has tied the certificate's primes to D.
+    Every candidate's genus is read off one table of Legendre symbols among the
+    primes of D (genus.principal_genus_candidates): no represented value is
+    searched for. D is not factored: the gate has tied the certificate's
+    distinct primes to D, so there are 2^k - 2 split candidates and, for
+    D = 3 mod 4, 2^k half candidates.
     """
     D, primes, predicted = cert.D, cert.identity[1], cert.predicted_form
-    candidates = enumerate_ambiguous_candidates(D, primes)
     system = assigned_characters(D, primes)
-    split_passers, half_passers = (
-        [f for f in forms if generic_values(f, system).all_ones]
-        for forms in (candidates.split_forms, candidates.half_forms)
-    )
+    split_passers, half_passers = principal_genus_candidates(system)
     problems = []
     if split_passers != [predicted]:
         problems.append(
@@ -556,10 +554,8 @@ def _clause_genus(cert: MCertificate | PrimePairCertificate) -> tuple[list[str],
             f"{[str(f) for f in split_passers]}, "
             f"expected exactly [{predicted}]"
         )
-    note = (
-        f"{len(candidates.split_forms)} split and "
-        f"{len(candidates.half_forms)} half candidates scanned"
-    )
+    k = len(primes)
+    note = f"{2**k - 2} split and {2**k * (D % 4 == 3)} half candidates scanned"
     if half_passers:
         # pinned companions of the d t = 3 mod 4 regime; recorded, not failed
         note += (
@@ -592,8 +588,9 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
     consequences; the lambda flip; unit norm +1 for D, derived from
     primality_congruence and pell_evidence without a continued fraction;
     uniqueness of the predicted form among the ambiguous split candidates in
-    the principal genus (half candidates are scanned too and any passers
-    recorded in the clause note); and the Pell evidence arithmetic. A clause
+    the principal genus, each candidate's genus read off one table of Legendre
+    symbols among the primes of D (half candidates are read too and any
+    passers recorded in the clause note); and the Pell evidence arithmetic. A clause
     fails as "depends on X", unrun, while a clause X it rests on fails (_RESTS_ON).
     """
 

@@ -65,16 +65,15 @@ def half_parameters(f: QuadForm) -> tuple[int, int]:
     return a, a - 2 * f.c
 
 
-def enumerate_ambiguous_candidates(D: int, primes=None) -> AmbiguousCandidateList:
+def enumerate_ambiguous_candidates(D: int) -> AmbiguousCandidateList:
     """Candidate ambiguous forms of discriminant 4D for square-free D > 1.
 
     Split family: (a, 0, -b) for every factorization D = ab with a > 1 and
     b > 1. Half family (only when D = 3 mod 4): (2a, 2a, (a - b)/2) for every
-    factorization D = ab with a >= 1. Both listed in ascending a. Given the
-    distinct `primes` of D, trusted as they are, D is not factored.
+    factorization D = ab with a >= 1. Both listed in ascending a.
     """
     divisors = [1]
-    for p in squarefree_primes(D) if primes is None else primes:
+    for p in squarefree_primes(D):
         divisors += [d * p for d in divisors]
     divisors.sort()
     split = tuple(QuadForm(a, 0, -(D // a)) for a in divisors if 1 < a < D)

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,6 +277,39 @@ def test_pell_human_view_builds_no_cycle_strings(capsys):
         tracemalloc.stop()
     assert "(216,740 terms)" in capsys.readouterr().out
     assert peak < 8_000_000
+
+
+def test_pell_human_view_reads_the_walked_half_period(monkeypatch, capsys):
+    # the ten terms shown open the half period cf_sqrt walked, so the human
+    # view never builds the mirrored cycle (918,548 terms here); a short
+    # period still prints off the cycle, byte for byte as before
+    from liouwit import pell
+
+    reads = []
+    real = pell.CFExpansion.cycle.func
+
+    def cycle(self):
+        reads.append(self.D)
+        return real(self)
+
+    monkeypatch.setattr(pell.CFExpansion, "cycle", property(cycle))
+    assert main(["pell", "8804767929867030"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "sqrt(8804767929867030) = [93833724; 1, 9, 1, 2, 1, 1, 4, 5, 1, 7, ... (918,548 terms)]"
+    )
+    assert reads == []
+    short = []
+    for D in range(2, 400):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        expansion = pell.cf_sqrt(D)
+        if len(expansion.terms) <= 10:
+            short.append(D)
+        assert main(["pell", str(D)]) == EXIT_OK
+        head = ", ".join(str(a) for a in real(expansion)[:10])
+        tail = f", ... ({expansion.period:,} terms)" if expansion.period > 10 else " ..."
+        assert capsys.readouterr().out.startswith(f"sqrt({D}) = [{expansion.a0}; {head}{tail}]\n")
+    assert reads == short
 
 
 def test_pell_command_writes_a_huge_unit_without_a_traceback():

@@ -480,6 +480,47 @@ def test_genus_clause_factors_nothing(monkeypatch, build):
 
 
 @pytest.mark.parametrize(
+    "build,pinned",
+    [
+        (lambda: construct_M(6, 1), ([], "30 split and 0 half candidates scanned")),
+        (
+            lambda: construct_M(15, 1),
+            (
+                [],
+                "30 split and 32 half candidates scanned; principal-genus half "
+                "candidates ['(10, 10, -32068151)', '(213787690, 213787690, 53446921)']",
+            ),
+        ),
+        (lambda: construct_prime_pair(7), ([], "6 split and 0 half candidates scanned")),
+    ],
+    ids=["m_certificate_6", "m_certificate_15", "prime_pair_7"],
+)
+def test_genus_clause_searches_no_represented_value(monkeypatch, build, pinned):
+    # every candidate's genus is read off one table of Legendre symbols among
+    # the k primes of D: no value is searched for, k^2 + k symbols at most
+    from liouwit import arith, construct, forms, genus
+
+    cert = build()
+    k = len(cert.identity[1])
+    calls = {"jacobi": 0, "represented_value_coprime": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        for module in (arith, forms, genus, construct):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert construct._clause_genus(cert) == pinned
+    assert calls["represented_value_coprime"] == 0
+    assert 0 < calls["jacobi"] <= k * k + k
+
+
+@pytest.mark.parametrize(
     "build,verify",
     [
         (lambda: construct_M(6, 1), verify_certificate),

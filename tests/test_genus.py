@@ -1,6 +1,10 @@
 """Unit tests for assigned characters and the principal-genus test."""
 
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liouwit import (
     InvalidInputError,
@@ -13,6 +17,8 @@ from liouwit import (
     in_principal_genus,
     jacobi,
 )
+from liouwit.factor import squarefree_primes
+from liouwit.genus import principal_genus_candidates
 
 
 def test_assigned_characters_by_residue_class():
@@ -114,3 +120,52 @@ def test_principal_genus_candidates_d15():
     }
     passers = [f for f in cands.split_forms + cands.half_forms if in_principal_genus(f)]
     assert passers == [QuadForm(10, 10, 1)]
+
+
+def principal_by_search(D, primes):
+    # the oracle: every candidate's characters at a represented value
+    system = assigned_characters(D, primes)
+    candidates = enumerate_ambiguous_candidates(D)
+    return tuple(
+        [f for f in forms if generic_values(f, system).all_ones]
+        for forms in (candidates.split_forms, candidates.half_forms)
+    )
+
+
+def test_principal_genus_candidates_match_generic_values():
+    odd_to_23 = math.prod((3, 5, 7, 11, 13, 17, 19, 23))
+    cases = [
+        (D, squarefree_primes(D))
+        for D in range(2, 3000)
+        if all(D % (p * p) for p in range(2, math.isqrt(D) + 1))
+    ]
+    cases += [(D, squarefree_primes(D)) for D in (odd_to_23, 2 * odd_to_23)]
+    assert len(cases) == 1825
+    for D, primes in cases:
+        got = principal_genus_candidates(assigned_characters(D, primes))
+        assert got == principal_by_search(D, primes), D
+
+
+ODD_PRIMES = [p for p in range(3, 400) if all(p % f for f in range(2, math.isqrt(p) + 1))]
+
+
+@st.composite
+def prime_sets(draw):
+    # up to 9 distinct primes whose product lies in the wanted class mod 8
+    # (1 and 5 share the character system, so 1 stands for both)
+    wanted = draw(st.sampled_from((1, 3, 2, 6)))
+    even = wanted % 2 == 0
+    odd = draw(st.sets(st.sampled_from(ODD_PRIMES), min_size=1, max_size=9 - even))
+    primes = sorted(odd) + [2] * even
+    D = math.prod(primes)
+    assume(D % 8 == wanted if even else D % 4 == wanted)
+    return D, primes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(prime_sets())
+def test_principal_genus_candidates_property(case):
+    D, primes = case
+    assert principal_genus_candidates(assigned_characters(D, primes)) == (
+        principal_by_search(D, primes)
+    )
