@@ -5,164 +5,113 @@ lambda(n^2 + d) = -1 and +1, via genus theory of binary quadratic forms:
 an auxiliary square-free integer M with lambda(M) = -lambda(d) is constructed
 so that a prescribed ambiguous form of discriminant 4dM is the unique one in
 the principal genus, which forces a Pell-type identity n^2 + d = d M k^2.
+
+The exported names are bound on first access (PEP 562): each one imports only
+the module that defines it, so `import liouwit` loads nothing but this file.
 """
 
-from .arith import (
-    DEFAULT_PRIME_SEARCH_CAP,
-    PRIMALITY_DETERMINISTIC_BOUND,
-    ResidueClass,
-    crt_merge,
-    delta_char,
-    eta_char,
-    integer_sqrt,
-    is_prime,
-    jacobi,
-    next_prime_in_class,
-)
-from .construct import (
-    ClauseResult,
-    M_CLAUSES,
-    MCertificate,
-    PAIR_CLAUSES,
-    PrimePairCertificate,
-    ResidueConstraint,
-    SymbolTarget,
-    VerificationReport,
-    construct_M,
-    construct_prime_pair,
-    mod8_class,
-    ordered_prime_list,
-    residue_constraints,
-    symbol_targets,
-    verify_certificate,
-    verify_prime_pair,
-    with_checks,
-)
-from .errors import (
-    ConstraintInfeasibleError,
-    FactorBudgetExceededError,
-    InternalInvariantError,
-    InvalidInputError,
-    LiouwitError,
-    SearchExhaustedError,
-    VerificationError,
-)
-from .factor import (
-    DEFAULT_FACTOR_BUDGET,
-    Factorization,
-    factorize,
-    liouville,
-    merge_factorizations,
-    squarefree_core,
-)
-from .forms import (
-    AmbiguousCandidateList,
-    QuadForm,
-    enumerate_ambiguous_candidates,
-    evaluate,
-    half_parameters,
-    represented_value_coprime,
-    split_parameters,
-)
-from .genus import (
-    CharacterSystem,
-    GenericValues,
-    assigned_characters,
-    generic_values,
-    in_principal_genus,
-)
-from .pell import (
-    CFExpansion,
-    GeneralizedSolution,
-    PellFundamental,
-    cf_sqrt,
-    fundamental_solution,
-    iterate_solution,
-    principal_class_ambiguous,
-    solve_generalized,
-    unit_norm,
-)
-from .witness import (
-    BRUTE_SCAN_BOUND,
-    SignChangeReport,
-    Witness,
-    WitnessPlan,
-    minus_witnesses,
-    plan,
-    plus_witnesses,
-    sign_change_report,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousCandidateList",
-    "BRUTE_SCAN_BOUND",
-    "CFExpansion",
-    "CharacterSystem",
-    "ClauseResult",
-    "ConstraintInfeasibleError",
-    "DEFAULT_FACTOR_BUDGET",
-    "DEFAULT_PRIME_SEARCH_CAP",
-    "Factorization",
-    "FactorBudgetExceededError",
-    "GeneralizedSolution",
-    "GenericValues",
-    "InternalInvariantError",
-    "InvalidInputError",
-    "LiouwitError",
-    "M_CLAUSES",
-    "MCertificate",
-    "PAIR_CLAUSES",
-    "PRIMALITY_DETERMINISTIC_BOUND",
-    "PellFundamental",
-    "PrimePairCertificate",
-    "QuadForm",
-    "ResidueClass",
-    "ResidueConstraint",
-    "SearchExhaustedError",
-    "SignChangeReport",
-    "SymbolTarget",
-    "VerificationError",
-    "VerificationReport",
-    "Witness",
-    "WitnessPlan",
-    "assigned_characters",
-    "cf_sqrt",
-    "construct_M",
-    "construct_prime_pair",
-    "crt_merge",
-    "delta_char",
-    "enumerate_ambiguous_candidates",
-    "eta_char",
-    "evaluate",
-    "factorize",
-    "fundamental_solution",
-    "generic_values",
-    "half_parameters",
-    "in_principal_genus",
-    "integer_sqrt",
-    "is_prime",
-    "iterate_solution",
-    "jacobi",
-    "liouville",
-    "merge_factorizations",
-    "minus_witnesses",
-    "mod8_class",
-    "next_prime_in_class",
-    "ordered_prime_list",
-    "plan",
-    "plus_witnesses",
-    "principal_class_ambiguous",
-    "represented_value_coprime",
-    "residue_constraints",
-    "sign_change_report",
-    "solve_generalized",
-    "split_parameters",
-    "squarefree_core",
-    "symbol_targets",
-    "unit_norm",
-    "verify_certificate",
-    "verify_prime_pair",
-    "with_checks",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "arith": (
+        "DEFAULT_PRIME_SEARCH_CAP",
+        "PRIMALITY_DETERMINISTIC_BOUND",
+        "ResidueClass",
+        "crt_merge",
+        "delta_char",
+        "eta_char",
+        "integer_sqrt",
+        "is_prime",
+        "jacobi",
+        "next_prime_in_class",
+    ),
+    "construct": (
+        "ClauseResult",
+        "M_CLAUSES",
+        "MCertificate",
+        "PAIR_CLAUSES",
+        "PrimePairCertificate",
+        "ResidueConstraint",
+        "SymbolTarget",
+        "VerificationReport",
+        "construct_M",
+        "construct_prime_pair",
+        "mod8_class",
+        "ordered_prime_list",
+        "residue_constraints",
+        "symbol_targets",
+        "verify_certificate",
+        "verify_prime_pair",
+        "with_checks",
+    ),
+    "errors": (
+        "ConstraintInfeasibleError",
+        "FactorBudgetExceededError",
+        "InternalInvariantError",
+        "InvalidInputError",
+        "LiouwitError",
+        "SearchExhaustedError",
+        "VerificationError",
+    ),
+    "factor": (
+        "BRUTE_SCAN_BOUND",
+        "DEFAULT_FACTOR_BUDGET",
+        "Factorization",
+        "factorize",
+        "liouville",
+        "merge_factorizations",
+        "squarefree_core",
+    ),
+    "forms": (
+        "AmbiguousCandidateList",
+        "QuadForm",
+        "enumerate_ambiguous_candidates",
+        "evaluate",
+        "half_parameters",
+        "represented_value_coprime",
+        "split_parameters",
+    ),
+    "genus": (
+        "CharacterSystem",
+        "GenericValues",
+        "assigned_characters",
+        "generic_values",
+        "in_principal_genus",
+    ),
+    "pell": (
+        "CFExpansion",
+        "GeneralizedSolution",
+        "PellFundamental",
+        "cf_sqrt",
+        "fundamental_solution",
+        "iterate_solution",
+        "principal_class_ambiguous",
+        "solve_generalized",
+        "unit_norm",
+    ),
+    "witness": (
+        "SignChangeReport",
+        "Witness",
+        "WitnessPlan",
+        "minus_witnesses",
+        "plan",
+        "plus_witnesses",
+        "sign_change_report",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    """Import the module that exports `name`, and bind the name here for later reads."""
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

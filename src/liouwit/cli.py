@@ -5,8 +5,11 @@ Every command can emit a JSON envelope {schema_version, command, input, result,
 timing} with all big integers rendered as decimal strings; pell writes one above
 the int-to-str digit limit as a "0x..." hex string, and its human view gives
 such an integer by its bit length and a long cycle by its first ten terms and
-its length.  Exit codes: 0 success, 2 invalid input, 3 verification failure,
-4 resource cap exhausted, 5 internal assertion violated.
+its length; the human views of construct-m and witness give a huge integer by
+its bit length too.  Each command imports the modules it runs when it runs, so
+a process loads no module its command does not use.  Exit codes: 0 success,
+2 invalid input, 3 verification failure, 4 resource cap exhausted, 5 internal
+assertion violated.
 """
 
 from __future__ import annotations
@@ -17,14 +20,6 @@ import sys
 import time
 
 from .arith import DEFAULT_PRIME_SEARCH_CAP
-from .construct import (
-    CERTIFICATE_KINDS,
-    ClauseResult,
-    VerificationReport,
-    construct_M,
-    verify_certificate,
-    with_checks,
-)
 from .errors import (
     FactorBudgetExceededError,
     InternalInvariantError,
@@ -32,17 +27,7 @@ from .errors import (
     SearchExhaustedError,
     VerificationError,
 )
-from .factor import DEFAULT_FACTOR_BUDGET, factorize
-from .forms import QuadForm
-from .genus import assigned_characters, generic_values
-from .pell import cf_sqrt, fundamental_from_cf, solve_generalized
-from .witness import (
-    BRUTE_SCAN_BOUND,
-    minus_witnesses,
-    plan,
-    plus_witnesses,
-    sign_change_report,
-)
+from .factor import BRUTE_SCAN_BOUND, DEFAULT_FACTOR_BUDGET, factorize
 
 SCHEMA_VERSION = "1.1.0"
 
@@ -93,7 +78,9 @@ def cmd_lambda(args) -> tuple[dict, str]:
     return result, human
 
 
-def cmd_construct_m(args) -> tuple[dict, str]:
+def cmd_construct_m(args) -> tuple[dict | None, str]:
+    from .construct import construct_M, verify_certificate, with_checks
+
     cert = construct_M(args.d, args.t, cap=args.cap)
     report = verify_certificate(cert)
     cert = with_checks(cert, report)
@@ -107,27 +94,41 @@ def cmd_construct_m(args) -> tuple[dict, str]:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(cert.to_json_dict(), handle, indent=2)
             handle.write("\n")
-    result = cert.to_json_dict()
+    result = cert.to_json_dict() if args.json else None
+    evidence = cert.pell_evidence
     human = "\n".join(
         [
             f"d = {cert.d}, t = {cert.t}: M = {cert.M} = "
             + " * ".join(str(q) for q in cert.m_primes + (cert.e1, cert.e2)),
             f"lambda(d) = {cert.lambda_d}, lambda(M) = {cert.lambda_m}",
             f"D = {cert.D}, predicted principal form {cert.predicted_form}",
-            f"evidence: {cert.pell_evidence.a} * {cert.pell_evidence.x}^2 - "
-            f"{cert.pell_evidence.b} * {cert.pell_evidence.y}^2 = 1",
+            f"evidence: {evidence.a} * {_show_int(evidence.x)}^2 - "
+            f"{evidence.b} * {_show_int(evidence.y)}^2 = 1",
             report.summary(),
         ]
     )
     return result, human
 
 
-def cmd_witness(args) -> tuple[dict, str]:
+def cmd_witness(args) -> tuple[dict | None, str]:
+    from .witness import minus_witnesses, plan, plus_witnesses
+
     shape = plan(args.d, cap=args.cap)
     produce = minus_witnesses if args.sign == -1 else plus_witnesses
     witnesses = produce(
         args.d, args.count, cap=args.cap, budget=args.budget, scan_bound=args.scan_bound
     )
+    lines = [f"d = {args.d}: branch {shape.branch}, core {shape.core}, scale {shape.scale}"]
+    for w in witnesses:
+        status = "verified" if w.verified else "UNVERIFIED (factor budget)"
+        fact = _fmt_factorization(w.factorization) if w.factorization else "-"
+        lines.append(
+            f"n = {_show_int(w.n)}: lambda(n^2 + d) = lambda({_show_int(w.value)}) = "
+            f"{w.lambda_value} [{w.provenance}, {status}] {fact}"
+        )
+    human = "\n".join(lines)
+    if not args.json:
+        return None, human
     plan_json = {
         "branch": shape.branch,
         "core": str(shape.core),
@@ -140,18 +141,12 @@ def cmd_witness(args) -> tuple[dict, str]:
         "plan": plan_json,
         "witnesses": [w.to_json_dict() for w in witnesses],
     }
-    lines = [f"d = {args.d}: branch {shape.branch}, core {shape.core}, scale {shape.scale}"]
-    for w in witnesses:
-        status = "verified" if w.verified else "UNVERIFIED (factor budget)"
-        fact = _fmt_factorization(w.factorization) if w.factorization else "-"
-        lines.append(
-            f"n = {w.n}: lambda(n^2 + d) = lambda({w.value}) = {w.lambda_value} "
-            f"[{w.provenance}, {status}] {fact}"
-        )
-    return result, "\n".join(lines)
+    return result, human
 
 
 def cmd_genus(args) -> tuple[dict, str]:
+    from .genus import assigned_characters, generic_values
+
     system = assigned_characters(args.D)
     result = {"D": str(args.D), "characters": list(system.labels)}
     lines = [f"assigned characters for D = {args.D}: {', '.join(system.labels)}"]
@@ -179,6 +174,8 @@ def cmd_genus(args) -> tuple[dict, str]:
 
 
 def cmd_pell(args) -> tuple[dict, str]:
+    from .pell import cf_sqrt, fundamental_from_cf, solve_generalized
+
     has_ab = args.a is not None or args.b is not None
     if has_ab:
         if args.a is None or args.b is None:
@@ -239,6 +236,8 @@ def cmd_pell(args) -> tuple[dict, str]:
 
 
 def cmd_sign_report(args) -> tuple[dict, str]:
+    from .witness import sign_change_report
+
     report = sign_change_report(args.d, args.bound)
     result = report.to_json_dict()
     human = (
@@ -251,6 +250,8 @@ def cmd_sign_report(args) -> tuple[dict, str]:
 
 
 def cmd_verify(args) -> tuple[dict, str]:
+    from .construct import CERTIFICATE_KINDS, ClauseResult, VerificationReport
+
     try:
         with open(args.path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -296,7 +297,9 @@ def cmd_verify(args) -> tuple[dict, str]:
     return result, report.summary()
 
 
-def _parse_form(text: str) -> QuadForm:
+def _parse_form(text: str):
+    from .forms import QuadForm
+
     parts = text.split(",")
     if len(parts) != 3:
         raise InvalidInputError(f"--form wants 'a,b,c', got {text!r}")

@@ -21,6 +21,9 @@ _TRIAL_LIMIT = 10**6
 # Iterations of the rho inner loop before giving up; deterministic, not wall-clock.
 DEFAULT_FACTOR_BUDGET = 4_000_000
 
+# Largest n a brute scan over n^2 + d, or a sign report, runs to.
+BRUTE_SCAN_BOUND = 10**7
+
 
 def primerange(lo: int, hi: int) -> list[int]:
     """Ascending primes p with lo <= p < hi, by a sieve of [lo, hi) whose base
@@ -106,9 +109,10 @@ def _rho_brent(n: int, budget: _Budget) -> int:
                 ys = y
                 batch = min(128, r - k)
                 budget.spend(batch)
+                # the sign of x - y multiplies q by -1 mod n, which no gcd sees
                 for _ in range(batch):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r *= 2

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from .arith import integer_sqrt
 from .errors import InternalInvariantError, InvalidInputError, SearchExhaustedError
@@ -141,36 +141,50 @@ def _mul(m: _Matrix, n: _Matrix) -> _Matrix:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _halve_to_two(terms: list[int], stop: int | None) -> list[_Matrix]:
-    """Balanced products of [[t, 1], [1, 0]] for t in terms[:stop], down to one or two.
+def _leaves(terms: list[int], stop: int | None) -> list[_Matrix]:
+    """Products of [[t, 1], [1, 0]] for t in terms[:stop], one per run of
+    _CONTINUANT_BLOCK terms.
 
-    Each leaf folds a run of _CONTINUANT_BLOCK terms by p_k = t_k p_{k-1} + p_{k-2},
-    and the same for q, on small ints; only the leaves are paired level by level.
+    Each leaf folds its run by p_k = t_k p_{k-1} + p_{k-2}, and the same for q, on small ints.
     """
-    mats, stop = [], len(terms) if stop is None else stop
+    leaves, stop = [], len(terms) if stop is None else stop
     for i in range(0, stop, _CONTINUANT_BLOCK):
         p, p0, q, q0 = 1, 0, 0, 1
         for t in terms[i : min(i + _CONTINUANT_BLOCK, stop)]:
             p, p0, q, q0 = t * p + p0, p, t * q + q0, q
-        mats.append((p, p0, q, q0))
-    while len(mats) > 2:
-        nxt = [_mul(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
-        if len(mats) % 2:
-            nxt.append(mats[-1])
-        mats = nxt
-    return mats
+        leaves.append((p, p0, q, q0))
+    return leaves
+
+
+def _product(leaves: list[_Matrix], lo: int, hi: int) -> _Matrix:
+    """leaves[lo] ... leaves[hi - 1] multiplied, each half first."""
+    if hi - lo == 1:
+        return leaves[lo]
+    mid = (lo + hi) // 2
+    return _mul(_product(leaves, lo, mid), _product(leaves, mid, hi))
+
+
+def _column(leaves: list[_Matrix], lo: int, hi: int) -> tuple[int, int]:
+    """The first column of _product(leaves, lo, hi): the left half times the right's column."""
+    if hi - lo == 1:
+        a, _, c, _ = leaves[lo]
+        return a, c
+    mid = (lo + hi) // 2
+    a, b, c, d = _product(leaves, lo, mid)
+    e, g = _column(leaves, mid, hi)
+    return a * e + b * g, c * e + d * g
 
 
 def _convergent(terms: list[int], stop: int | None = None) -> _Matrix:
     """(p_k, p_{k-1}, q_k, q_{k-1}) of [t0; ..., tk], tk = terms[stop - 1], by products."""
-    return reduce(_mul, _halve_to_two(terms, stop))
+    leaves = _leaves(terms, stop)
+    return _product(leaves, 0, len(leaves))
 
 
 def _convergent_pq(terms: list[int], stop: int | None = None) -> tuple[int, int]:
-    """(p_k, q_k) of [t0; ..., tk], tk = terms[stop - 1]: one column of the top product."""
-    (a, b, c, d), *rest = _halve_to_two(terms, stop)
-    e, _, g, _ = rest[0] if rest else (1, 0, 0, 1)
-    return a * e + b * g, c * e + d * g
+    """(p_k, q_k) of [t0; ..., tk], tk = terms[stop - 1]: the first column of the product."""
+    leaves = _leaves(terms, stop)
+    return _column(leaves, 0, len(leaves))
 
 
 @lru_cache(maxsize=4096)

@@ -25,14 +25,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, sqrt_mod
-from .construct import (
-    MCertificate,
-    PrimePairCertificate,
-    construct_M,
-    construct_prime_pair,
-)
 from .errors import (
     FactorBudgetExceededError,
     InternalInvariantError,
@@ -40,6 +35,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .factor import (
+    BRUTE_SCAN_BOUND,
     DEFAULT_FACTOR_BUDGET,
     Factorization,
     factorize,
@@ -48,9 +44,12 @@ from .factor import (
     primerange,
     squarefree_core,
 )
-from .pell import GeneralizedSolution, fundamental_solution, iterate_solution
 
-BRUTE_SCAN_BOUND = 10**7
+# construct and pell are imported where a certificate or a Pell solution is
+# built, so that the sign sieve loads neither
+if TYPE_CHECKING:
+    from .construct import MCertificate, PrimePairCertificate
+    from .pell import GeneralizedSolution
 
 # n values per block of the sign sieve
 _SIEVE_BLOCK = 1 << 16
@@ -135,7 +134,11 @@ class WitnessPlan:
     @cached_property
     def certificate(self) -> MCertificate | PrimePairCertificate | None:
         build = _CERTIFICATE_BUILDERS.get(self.branch)
-        return None if build is None else build(abs(self.core), self.cap)
+        if build is None:
+            return None
+        from . import construct
+
+        return build(construct, abs(self.core), self.cap)
 
     def certificate_for(self, want: int) -> MCertificate | PrimePairCertificate | None:
         """The certificate the recipe of sign `want` reads, or None if it reads none."""
@@ -187,16 +190,18 @@ def plan(d: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> WitnessPlan:
     return WitnessPlan(d, core, scale, branch, cap)
 
 
-# branch -> builder of its certificate from (|core|, cap)
+# branch -> builder of its certificate from (the construct module, |core|, cap)
 _CERTIFICATE_BUILDERS = {
-    BRANCH_PRIME_MINUS_3MOD4: construct_prime_pair,
-    BRANCH_COMPOSITE_CERT_PLUS: lambda d0, cap: construct_M(d0, 1, cap),
-    BRANCH_COMPOSITE_CERT_MINUS: lambda d0, cap: construct_M(d0, -1, cap),
+    BRANCH_PRIME_MINUS_3MOD4: lambda c, d0, cap: c.construct_prime_pair(d0, cap),
+    BRANCH_COMPOSITE_CERT_PLUS: lambda c, d0, cap: c.construct_M(d0, 1, cap),
+    BRANCH_COMPOSITE_CERT_MINUS: lambda c, d0, cap: c.construct_M(d0, -1, cap),
 }
 
 
 def _solution_stream(first: GeneralizedSolution):
     """first, then its composition with the fundamental solution, forever."""
+    from .pell import fundamental_solution, iterate_solution
+
     fund = fundamental_solution(first.a * first.b)
     sol = first
     while True:
@@ -210,6 +215,8 @@ def _squared(fact: Factorization) -> Factorization:
 
 def _pell_identity(d0: int, eps: int) -> tuple[GeneralizedSolution, tuple[int, ...]]:
     """Least solution of x^2 - d0 y^2 = eps, and the primes of d0."""
+    from .pell import GeneralizedSolution, fundamental_solution
+
     fund = fundamental_solution(d0)
     xy = (fund.t, fund.u) if eps == 1 else fund.neg_solution
     if xy is None:

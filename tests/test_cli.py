@@ -394,7 +394,7 @@ def test_construct_m_beyond_period_budget_exits_4():
 
 
 def test_pell_command_runs_one_continued_fraction(monkeypatch, capsys):
-    from liouwit import cli, pell
+    from liouwit import pell
 
     calls = []
 
@@ -404,7 +404,6 @@ def test_pell_command_runs_one_continued_fraction(monkeypatch, capsys):
 
     real = pell.cf_sqrt
     monkeypatch.setattr(pell, "cf_sqrt", counting)
-    monkeypatch.setattr(cli, "cf_sqrt", counting)
     # a warm fundamental_solution cache would hide a second expansion
     pell.fundamental_solution.cache_clear()
     code, env = run_json(capsys, ["pell", "61"])
@@ -446,3 +445,98 @@ def test_witness_plus_sign_builds_no_certificate(d):
     witnesses = result["witnesses"]
     assert sum(w["verified"] for w in witnesses) >= 3
     assert all(w["lambda"] == 1 for w in witnesses)
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this checkout's src first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+# a probe line that prints the liouwit modules loaded so far
+_PRINT_LOADED = (
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'liouwit')))\n"
+)
+
+
+def test_import_and_lambda_load_only_the_factor_stack():
+    probe = (
+        "import json, sys, liouwit\n"
+        "liouwit.factorize(1_000_003)\n"
+        + _PRINT_LOADED
+        + "from liouwit import cli\n"
+        "assert cli.main(['lambda', '12']) == 0\n"
+        + _PRINT_LOADED
+    )
+    run = _fresh_python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    stack = ["liouwit", "liouwit.arith", "liouwit.errors", "liouwit.factor"]
+    assert json.loads(lines[0]) == stack
+    assert json.loads(lines[-1]) == sorted(stack + ["liouwit.cli"])
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["pell", "6"], ["liouwit.construct"]),
+        (["genus", "6", "--form", "2,0,-3"], ["liouwit.construct"]),
+        (
+            ["sign-report", "6", "--bound", "10000"],
+            ["liouwit.construct", "liouwit.forms", "liouwit.genus", "liouwit.pell"],
+        ),
+    ],
+    ids=["pell", "genus", "sign_report"],
+)
+def test_command_loads_no_certificate_module(argv, absent):
+    probe = (
+        "import json, sys\n"
+        "from liouwit import cli\n"
+        f"assert cli.main({argv!r}) == 0\n" + _PRINT_LOADED
+    )
+    run = _fresh_python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert "liouwit.cli" in loaded
+    assert not set(absent) & set(loaded)
+
+
+def test_package_exports_its_table():
+    # names bind on first access; submodules still import as attributes
+    probe = (
+        "import liouwit\n"
+        "from liouwit import pell\n"
+        "assert pell.__name__ == 'liouwit.pell' and pell.__file__.endswith('pell.py')\n"
+        "star = {}\n"
+        "exec('from liouwit import *', star)\n"
+        "del star['__builtins__']\n"
+        "assert len(liouwit.__all__) == len(set(liouwit.__all__)) == 69\n"
+        "assert sorted(star) == sorted(liouwit.__all__)\n"
+        "assert all(getattr(liouwit, name) is star[name] for name in liouwit.__all__)\n"
+        "try:\n"
+        "    liouwit.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    run = _fresh_python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "module 'liouwit' has no attribute 'no_such_name'\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["construct-m", "102", "--t", "-1"], ["witness", "-102"]], ids=["construct_m", "witness"]
+)
+def test_human_view_of_huge_integers_without_a_traceback(argv):
+    # the Pell evidence and the certificate witnesses of d = 102 run past the
+    # int-to-str digit limit; the human view gives them by their bit length
+    run = _fresh_python("-m", "liouwit.cli", *argv)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "-bit integer>" in run.stdout

@@ -59,6 +59,27 @@ def test_factor_budget_exhaustion():
         factorize(p * q, budget=1000)
 
 
+@pytest.mark.parametrize(
+    "n,budget,found,left",
+    [
+        (44417448594559457729469609816297939253, 1_000_000, 15706387, 994_881),
+        (2827986385064843858073127181719, 1_000_000, 152260656467, 686_273),
+        (141809011069391361641702478022583, 1_000_000, 22414527371, 966_721),
+        (54943725566391054184734686073721296383, 200_000, None, -63),
+    ],
+)
+def test_rho_factor_and_spend_pinned(n, budget, found, left):
+    # the cofactors the witness sweep hands to rho; the sign of x - y in the
+    # product q leaves every gcd, returned factor and budget spend as it was
+    spent = factor._Budget(budget)
+    if found is None:
+        with pytest.raises(FactorBudgetExceededError):
+            factor._rho_brent(n, spent)
+    else:
+        assert factor._rho_brent(n, spent) == found
+    assert spent.remaining == left
+
+
 def test_liouville_pinned():
     values = [liouville(n) for n in range(1, 17)]
     assert values == [1, -1, -1, 1, -1, 1, -1, -1, 1, 1, -1, -1, -1, 1, 1, 1]
