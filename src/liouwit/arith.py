@@ -252,29 +252,29 @@ def sqrt_mod(a: int, p: int) -> int:
     a %= p
     if a == 0 or p == 2:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise InvalidInputError(f"{a} is not a square modulo {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
+    if p & 3 == 3:
+        r = pow(a, (p + 1) >> 2, p)
     else:
-        # p - 1 = q 2^s with q odd; z is any non-residue
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        # p - 1 = q 2^s with q odd; z is a non-residue, 2 when p = 5 mod 8
+        s = ((p - 1) & (1 - p)).bit_length() - 1
+        q = (p - 1) >> s
+        z = 2 if p & 7 == 5 else 3
+        while jacobi(z, p) != -1:
+            z += 2  # 2 is a square mod p = 1 mod 8, so (2z / p) = (z / p)
+        v = pow(a, q >> 1, p)  # a^((q-1)/2): r = a^((q+1)/2) and t = a^q = r^2 / a
+        c, r, t = pow(z, q, p), a * v % p, a * v * v % p
         while t != 1:
-            # least i with t^(2^i) = 1; then scale by c^(2^(s-i-1))
+            # least i with t^(2^i) = 1; i = s (t of order 2^s) means a is no square
             i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
+            while t2 != 1 and i < s:
+                t2, i = t2 * t2 % p, i + 1
+            if i == s:
+                break
             b = pow(c, 1 << (s - i - 1), p)
             s, c = i, b * b % p
             t, r = t * c % p, r * b % p
+    if r * r % p != a:
+        raise InvalidInputError(f"{a} is not a square modulo {p}")
     return min(r, p - r)
 
 

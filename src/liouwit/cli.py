@@ -91,9 +91,9 @@ def cmd_construct_m(args) -> tuple[dict | None, str]:
             report=report,
         )
     if args.output:
+        text = json.dumps(cert.to_json_dict(), indent=2) + "\n"  # before the file opens
         with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(cert.to_json_dict(), handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
     result = cert.to_json_dict() if args.json else None
     evidence = cert.pell_evidence
     human = "\n".join(
@@ -113,7 +113,7 @@ def cmd_construct_m(args) -> tuple[dict | None, str]:
 def cmd_witness(args) -> tuple[dict | None, str]:
     from .witness import minus_witnesses, plan, plus_witnesses
 
-    shape = plan(args.d, cap=args.cap)
+    shape = plan(args.d, args.cap)  # positional: the stream below reads this cached plan
     produce = minus_witnesses if args.sign == -1 else plus_witnesses
     witnesses = produce(
         args.d, args.count, cap=args.cap, budget=args.budget, scan_bound=args.scan_bound

@@ -10,13 +10,15 @@ before any factoring happens; the factorization of k then upgrades the
 theoretical sign to an independently verified one.
 
 sign_change_report counts both signs of lambda(n^2 + d) over a range of n
-exactly, with a block sieve over the progressions of n on which a prime
-power divides n^2 + d. Each hit flips a parity byte and adds the prime's
-rounded logarithm to a log byte, both by bytes.translate on a slice; a
-log byte short of the value's own logarithm by a margin that rounding
-cannot cross means one prime above the sieve limit is left (see
-_lambda_blocks). No primality test runs unless |d| is far above the square
-of the range.
+exactly, with a block sieve over the progressions of n on which a prime power
+divides n^2 + d. An odd prime p not dividing d has such progressions iff
+(-4d/p) = 1, a character mod 4|d|: while (4|d|)^2 <= the sieve limit, a table
+of classes skips most primes that have none (see _sieve_roots). Each hit
+flips a parity byte and adds the prime's rounded logarithm to a log byte,
+both by bytes.translate on a slice; a log byte short of the value's own
+logarithm by a margin that rounding cannot cross means one prime above the
+sieve limit is left (see _lambda_blocks). No primality test runs unless |d|
+is far above the square of the range.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, sqrt_mod
@@ -122,7 +124,8 @@ class WitnessPlan:
     """Shape analysis of d: core, scale, strategy branch, and any certificate.
 
     The certificate is built on first read, so a sign whose recipe does not
-    use it never pays for its construction.
+    use it never pays for its construction. One that runs past a cap reads
+    as None, once, and the request falls through to the brute scan.
     """
 
     d: int
@@ -138,7 +141,10 @@ class WitnessPlan:
             return None
         from . import construct
 
-        return build(construct, abs(self.core), self.cap)
+        try:
+            return build(construct, abs(self.core), self.cap)
+        except SearchExhaustedError:
+            return None
 
     def certificate_for(self, want: int) -> MCertificate | PrimePairCertificate | None:
         """The certificate the recipe of sign `want` reads, or None if it reads none."""
@@ -168,8 +174,9 @@ class SignChangeReport:
         }
 
 
+@lru_cache(maxsize=256)
 def plan(d: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> WitnessPlan:
-    """Pick the witness strategy for d; its certificate is built on first read."""
+    """The witness strategy for d, one object per (d, cap): its certificate is built once."""
     if d == 0:
         raise InvalidInputError("d must be nonzero")
     core, scale = squarefree_core(d)
@@ -247,7 +254,7 @@ def _constructive_stream(witness_plan: WitnessPlan, want: int):
 
     `known` is the fully factored square-free-by-construction part, already
     including the scale lift; `k` is the growing Pell coordinate. Returns None
-    when the branch has no construction for the requested sign.
+    when the branch has no construction for the sign, or when it runs past a cap.
     """
     recipe = _RECIPES.get((witness_plan.branch, want))
     if recipe is None:
@@ -257,9 +264,14 @@ def _constructive_stream(witness_plan: WitnessPlan, want: int):
     d0 = abs(witness_plan.core)
     scale = witness_plan.scale
     if eps is None:
+        if witness_plan.certificate is None:
+            return None
         first, primes = witness_plan.certificate.identity
     else:
-        first, primes = _pell_identity(d0, eps)
+        try:
+            first, primes = _pell_identity(d0, eps)
+        except SearchExhaustedError:
+            return None
 
     known = merge_factorizations(
         [Factorization(1, tuple((q, 1) for q in primes)), _squared(factorize(scale))]
@@ -451,7 +463,7 @@ def _square_roots(c: int, p: int) -> tuple[int, ...]:
 
     One residue test: for p = 3 (mod 4) the candidate c^((p+1)/4), and for
     p = 5 (mod 8) Atkin's c v (2c v^2 - 1) with v = (2c)^((p-5)/8), is a root
-    iff c is a square; for p = 1 (mod 8) sqrt_mod runs Euler's criterion.
+    iff c is a square; for p = 1 (mod 8) so is sqrt_mod's Tonelli-Shanks root.
     """
     c %= p
     if c == 0:
@@ -473,11 +485,24 @@ def _sieve_roots(d: int, limit: int):
     """Yield (p, roots) for each prime p <= limit with a root of n^2 + d mod p.
 
     The primes are sieved in windows of the block length, so that no list
-    of all of them is held at once.
+    of all of them is held at once. For an odd prime p not dividing d, -d is
+    a square mod p iff (-4d / p) = 1, a character mod 4|d|. So when
+    (4|d|)^2 <= limit, a table of under sqrt(limit) bytes keeps the verdict of
+    each class's first prime (0 unseen, 1 residue, 2 not): later primes of a
+    non-residue class are skipped, and one of a residue class with no root
+    raises. A larger d has few primes per class.
     """
+    table = bytearray(mod) if (mod := 4 * abs(d)) ** 2 <= limit else None
     for lo in range(2, limit + 1, _SIEVE_BLOCK):
         for p in primerange(lo, min(lo + _SIEVE_BLOCK, limit + 1)):
+            seen = 0 if table is None else table[p % mod]
+            if seen == 2:
+                continue
             roots = (d & 1,) if p == 2 else _square_roots(-d, p)
+            if seen and not roots:
+                raise InternalInvariantError(f"{-d} is no square mod {p}, unlike its class")
+            if table is not None:
+                table[p % mod] = 1 if roots else 2
             if roots:
                 yield p, roots
 

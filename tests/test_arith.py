@@ -167,3 +167,19 @@ def test_integer_sqrt():
     assert integer_sqrt(10**40 + 1) == (10**20, False)
     with pytest.raises(InvalidInputError):
         integer_sqrt(-1)
+
+
+def test_sqrt_mod_against_a_table_of_squares():
+    # every prime below 1000 and every a: the least root of a square, and
+    # InvalidInputError for every non-residue
+    for p in (q for q in range(2, 1000) if is_prime_small(q)):
+        least = {}
+        for x in range(p):
+            least.setdefault(x * x % p, x)
+        for a in range(p):
+            if a in least:
+                assert arith.sqrt_mod(a, p) == least[a], (a, p)
+                assert arith.sqrt_mod(a - p, p) == least[a], (a - p, p)
+            else:
+                with pytest.raises(InvalidInputError):
+                    arith.sqrt_mod(a, p)

@@ -460,6 +460,66 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+@pytest.mark.parametrize("d, brute_n", [("462", 1), ("-30030", 174)])
+@pytest.mark.parametrize("json_view", [False, True])
+def test_witness_falls_through_to_the_brute_scan_past_the_period_cap(d, brute_n, json_view):
+    # the sign -1 recipe reads an M certificate whose continued fraction runs
+    # past MAX_CF_PERIOD; the request is served by the brute scan instead
+    view = ["--json"] if json_view else []
+    run = _fresh_python("-m", "liouwit.cli", "witness", d, "--sign", "-1", "--count", "2", *view)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "Traceback" not in run.stderr
+    if json_view:
+        result = json.loads(run.stdout)["result"]
+        assert "certificate" not in result["plan"]
+        brute = [
+            int(w["n"]) for w in result["witnesses"]
+            if w["provenance"] == "brute" and w["verified"] and w["lambda"] == -1
+        ]
+    else:
+        brute = [
+            int(line.split()[2].rstrip(":")) for line in run.stdout.splitlines()[1:]
+            if "= -1 [brute, verified]" in line
+        ]
+    assert len(brute) >= 2
+    assert brute[0] == brute_n
+
+
+def test_witness_json_walks_a_capped_continued_fraction_once(monkeypatch, capsys):
+    # the plan remembers that the certificate of (462, +1) ran past
+    # MAX_CF_PERIOD, so the JSON plan does not build it a second time
+    from liouwit import pell, witness
+
+    calls = []
+
+    def counting(D):
+        calls.append(D)
+        return real(D)
+
+    real = pell.cf_sqrt
+    monkeypatch.setattr(pell, "cf_sqrt", counting)
+    witness.plan.cache_clear()
+    code, env = run_json(capsys, ["witness", "462", "--sign", "-1"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert "certificate" not in env["result"]["plan"]
+    assert env["result"]["witnesses"][0]["n"] == "1"
+
+
+def test_construct_m_output_leaves_no_file_when_serializing_fails(tmp_path):
+    # the certificate of (102, -1) has an integer past the int-to-str digit
+    # limit. Whatever the exit code, no empty or partial file may remain: a
+    # failed call writes nothing, and a call that succeeds writes it whole
+    out = tmp_path / "cert.json"
+    run = _fresh_python(
+        "-m", "liouwit.cli", "construct-m", "102", "--t", "-1", "--output", str(out)
+    )
+    if run.returncode == EXIT_OK:
+        assert json.loads(out.read_text())["kind"]
+    else:
+        assert not out.exists()
+
+
 # a probe line that prints the liouwit modules loaded so far
 _PRINT_LOADED = (
     "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'liouwit')))\n"

@@ -3,6 +3,7 @@ parts, and of the half-period Pell expansion, against direct definitions and
 sympy as an independent oracle."""
 
 import math
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,25 @@ def test_sqrt_mod_rejects_non_residues(p, a):
     if pow(a, (p - 1) // 2, p) == p - 1:
         with pytest.raises(InvalidInputError):
             sqrt_mod(a, p)
+
+
+@cache
+def roots_by_squaring(p: int) -> dict[int, tuple[int, ...]]:
+    """The roots of every square modulo p, found by squaring every residue."""
+    return {x * x % p: tuple(sorted({x, -x % p})) for x in range(p)}
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(min_value=-1250, max_value=1250).filter(lambda d: d != 0)
+    | st.integers(min_value=-(10**40), max_value=10**40).filter(lambda d: d != 0)
+)
+def test_sieve_roots_match_squares(d):
+    # 4|d| <= sqrt(4999) uses the table of classes, any larger d the per-prime path
+    got = dict(witness._sieve_roots(d, 4999))
+    for p in [2] + SMALL_PRIMES:
+        want = roots_by_squaring(p).get(-d % p, ())
+        assert tuple(sorted(got.get(p, ()))) == want, (d, p)
 
 
 # strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)

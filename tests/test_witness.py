@@ -1,6 +1,7 @@
 """Unit tests for witness generation and the exhaustive sign reports."""
 
 import tracemalloc
+from functools import cache
 
 import pytest
 
@@ -8,6 +9,7 @@ from liouwit import factor, witness
 from liouwit import (
     BRUTE_SCAN_BOUND,
     DEFAULT_FACTOR_BUDGET,
+    InternalInvariantError,
     InvalidInputError,
     MCertificate,
     PrimePairCertificate,
@@ -353,6 +355,86 @@ def test_sign_change_report_caps_the_bound():
         sign_change_report(6, BRUTE_SCAN_BOUND + 1)
     with pytest.raises(SearchExhaustedError):
         sign_change_report(-7, 10**30)
+
+
+@cache
+def brute_roots(p: int) -> dict[int, tuple[int, ...]]:
+    """{c: every r in [0, p) with r^2 = c (mod p)}, by squaring each r."""
+    roots = {}
+    for r in range(p):
+        roots[r * r % p] = roots.get(r * r % p, ()) + (r,)
+    return roots
+
+
+def assert_sieve_roots_brute(d: int, limit: int) -> None:
+    got = {p: tuple(sorted(roots)) for p, roots in witness._sieve_roots(d, limit)}
+    for p in factor.primerange(2, limit + 1):
+        assert got.get(p, ()) == brute_roots(p).get(-d % p, ()), (d, limit, p)
+
+
+def test_sieve_roots_match_brute_roots():
+    # at limit 2000 the table of classes mod 4|d| serves |d| <= 11; the
+    # others, and every d above the table rule, take the per-prime path
+    ds = [d for d in range(-60, 61) if d]
+    ds += [s * m * m * k for s in (1, -1) for m in (2, 3, 6, 7) for k in (1, 2, 5)]
+    for d in ds + [10**12, 10**18 + 7, -(10**12), 3**40]:
+        for limit in (1, 2, 30, 2000):
+            assert_sieve_roots_brute(d, limit)
+
+
+def test_sieve_roots_with_the_table_at_its_least_limit():
+    # the table is used once (4|d|)^2 <= limit; at that limit the primes
+    # with roots are those where -d is not a non-residue by Euler's criterion
+    for d in [d for d in range(-60, 61) if d] + [-96, 72]:
+        limit = (4 * abs(d)) ** 2
+        got = dict(witness._sieve_roots(d, limit))
+        for p in factor.primerange(3, limit + 1):
+            euler = pow(-d, (p - 1) // 2, p)
+            if euler == p - 1:
+                assert p not in got, (d, p)
+            elif euler == 0:
+                assert got[p] == (0,), (d, p)
+            else:
+                r, s = got[p]
+                assert r * r % p == -d % p and r + s == p, (d, p)
+        assert got[2] == (d & 1,)
+
+
+def test_sieve_roots_skip_later_primes_of_a_non_residue_class(monkeypatch):
+    # -6 is a square mod p only in some classes mod 24; sqrt_mod serves the
+    # primes p = 1 mod 8, of which those = 17 mod 24 are non-residues. Only
+    # the first prime of each non-residue class may reach sqrt_mod.
+    calls, real = [], witness.sqrt_mod
+
+    def counting(a, p):
+        calls.append((a, p))
+        return real(a, p)
+
+    monkeypatch.setattr(witness, "sqrt_mod", counting)
+    report = sign_change_report(6, 10**4)
+    assert (report.count_minus, report.count_plus, report.first_change_n) == (4998, 5003, 1)
+    non_residue = [p for a, p in calls if pow(a, (p - 1) // 2, p) == p - 1]
+    assert non_residue == [17]
+    # and the residue primes = 1 mod 8 up to the limit still each get their root
+    assert len(calls) == 1 + sum(
+        1 for p in factor.primerange(3, 10**4 + 1) if p % 24 == 1
+    )
+
+
+def test_sieve_roots_raise_when_a_residue_class_loses_its_root(monkeypatch):
+    real = witness._square_roots
+
+    def losing(c, p):
+        return () if p == 97 else real(c, p)
+
+    monkeypatch.setattr(witness, "_square_roots", losing)
+    # 73 is the first prime = 1 mod 24 and decides the class: -6 is a square
+    # there. 97 is in the same class, so its lost root is caught, not dropped
+    with pytest.raises(InternalInvariantError, match="unlike its class"):
+        list(witness._sieve_roots(6, 10**4))
+    # above the table rule each prime stands alone: -10^12 = -(10^6)^2 is a
+    # square mod 97, and the per-prime path has nothing to compare against
+    assert 97 not in dict(witness._sieve_roots(10**12, 10**4))
 
 
 def test_json_report_shape():
