@@ -29,23 +29,11 @@ _EXPORTS = {
         "next_prime_in_class",
     ),
     "construct": (
-        "ClauseResult",
-        "M_CLAUSES",
-        "MCertificate",
-        "PAIR_CLAUSES",
-        "PrimePairCertificate",
         "ResidueConstraint",
-        "SymbolTarget",
-        "VerificationReport",
         "construct_M",
         "construct_prime_pair",
-        "mod8_class",
         "ordered_prime_list",
         "residue_constraints",
-        "symbol_targets",
-        "verify_certificate",
-        "verify_prime_pair",
-        "with_checks",
     ),
     "errors": (
         "ConstraintInfeasibleError",
@@ -67,7 +55,6 @@ _EXPORTS = {
     ),
     "forms": (
         "AmbiguousCandidateList",
-        "QuadForm",
         "enumerate_ambiguous_candidates",
         "evaluate",
         "half_parameters",
@@ -75,7 +62,6 @@ _EXPORTS = {
         "split_parameters",
     ),
     "genus": (
-        "CharacterSystem",
         "GenericValues",
         "assigned_characters",
         "generic_values",
@@ -83,7 +69,6 @@ _EXPORTS = {
     ),
     "pell": (
         "CFExpansion",
-        "GeneralizedSolution",
         "PellFundamental",
         "cf_sqrt",
         "fundamental_solution",
@@ -91,6 +76,23 @@ _EXPORTS = {
         "principal_class_ambiguous",
         "solve_generalized",
         "unit_norm",
+    ),
+    "verify": (
+        "CharacterSystem",
+        "ClauseResult",
+        "GeneralizedSolution",
+        "M_CLAUSES",
+        "MCertificate",
+        "PAIR_CLAUSES",
+        "PrimePairCertificate",
+        "QuadForm",
+        "SymbolTarget",
+        "VerificationReport",
+        "mod8_class",
+        "symbol_targets",
+        "verify_certificate",
+        "verify_prime_pair",
+        "with_checks",
     ),
     "witness": (
         "SignChangeReport",

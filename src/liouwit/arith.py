@@ -246,8 +246,8 @@ def next_prime_in_class(
 def sqrt_mod(a: int, p: int) -> int:
     """The least r >= 0 with r^2 = a (mod p), for a prime p; Tonelli-Shanks.
 
-    Raises InvalidInputError when a is not a square modulo p. p is trusted
-    to be prime: for a composite p the answer is meaningless.
+    Raises InvalidInputError when a is not a square modulo p, or when the
+    non-residue search meets a factor of p. Otherwise p is trusted to be prime.
     """
     a %= p
     if a == 0 or p == 2:
@@ -259,7 +259,9 @@ def sqrt_mod(a: int, p: int) -> int:
         s = ((p - 1) & (1 - p)).bit_length() - 1
         q = (p - 1) >> s
         z = 2 if p & 7 == 5 else 3
-        while jacobi(z, p) != -1:
+        while (symbol := jacobi(z, p)) != -1:
+            if symbol == 0:  # z < p shares a factor with p; mod an odd square no -1 exists
+                raise InvalidInputError(f"{p} is not prime")
             z += 2  # 2 is a square mod p = 1 mod 8, so (2z / p) = (z / p)
         v = pow(a, q >> 1, p)  # a^((q-1)/2): r = a^((q+1)/2) and t = a^q = r^2 / a
         c, r, t = pow(z, q, p), a * v % p, a * v * v % p

@@ -79,7 +79,8 @@ def cmd_lambda(args) -> tuple[dict, str]:
 
 
 def cmd_construct_m(args) -> tuple[dict | None, str]:
-    from .construct import construct_M, verify_certificate, with_checks
+    from .construct import construct_M
+    from .verify import verify_certificate, with_checks
 
     cert = construct_M(args.d, args.t, cap=args.cap)
     report = verify_certificate(cert)
@@ -250,7 +251,7 @@ def cmd_sign_report(args) -> tuple[dict, str]:
 
 
 def cmd_verify(args) -> tuple[dict, str]:
-    from .construct import CERTIFICATE_KINDS, ClauseResult, VerificationReport
+    from .verify import verify_document
 
     try:
         with open(args.path, encoding="utf-8") as handle:
@@ -259,31 +260,7 @@ def cmd_verify(args) -> tuple[dict, str]:
         raise InvalidInputError(f"cannot read {args.path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"malformed JSON in {args.path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InvalidInputError("certificate document must be a JSON object")
-    if "result" in data and isinstance(data["result"], dict):
-        data = data["result"]
-
-    kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in CERTIFICATE_KINDS:
-        raise InvalidInputError(
-            f"unknown certificate kind {kind!r}; expected one of {sorted(CERTIFICATE_KINDS)}"
-        )
-    codec, verify = CERTIFICATE_KINDS[kind]
-    cert = codec.from_json_dict(data)
-    report = verify(cert)
-    if cert.checks and cert.checks != report.as_pairs():
-        report = VerificationReport(
-            report.subject,
-            report.clauses
-            + (
-                ClauseResult(
-                    "recorded_checks",
-                    False,
-                    "stored clause outcomes disagree with recomputation",
-                ),
-            ),
-        )
+    report = verify_document(data)
     if not report.passed:
         raise VerificationError(
             f"verification failed: {', '.join(report.failures)}\n{report.summary()}",
@@ -298,7 +275,7 @@ def cmd_verify(args) -> tuple[dict, str]:
 
 
 def _parse_form(text: str):
-    from .forms import QuadForm
+    from .verify import QuadForm
 
     parts = text.split(",")
     if len(parts) != 3:

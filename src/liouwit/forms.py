@@ -8,37 +8,9 @@ from dataclasses import dataclass
 from .arith import integer_sqrt
 from .errors import InvalidInputError, SearchExhaustedError
 from .factor import squarefree_primes
+from .verify import QuadForm
 
 _REPRESENTATION_BOUND = 2**16
-
-
-@dataclass(frozen=True)
-class QuadForm:
-    """The form (a, b, c) acting as f(x, y) = a x^2 + b x y + c y^2.
-
-    Operations in this package assume a primitive form (gcd(a, b, c) = 1)
-    whose discriminant b^2 - 4ac is not a perfect square; use is_valid to
-    check untrusted triples.
-    """
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_valid(self) -> bool:
-        if math.gcd(math.gcd(self.a, self.b), self.c) != 1:
-            return False
-        disc = self.discriminant
-        if disc >= 0 and integer_sqrt(disc)[1]:
-            return False
-        return True
-
-    def __str__(self) -> str:
-        return f"({self.a}, {self.b}, {self.c})"
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,8 @@ from functools import cached_property, lru_cache
 
 from .arith import integer_sqrt
 from .errors import InternalInvariantError, InvalidInputError, SearchExhaustedError
-from .forms import (
-    QuadForm,
-    enumerate_ambiguous_candidates,
-    half_parameters,
-    split_parameters,
-)
+from .forms import enumerate_ambiguous_candidates, half_parameters, split_parameters
+from .verify import GeneralizedSolution, QuadForm
 
 # cf_sqrt refuses a period of this length or more; even, so that the half
 # walk stops exactly there. Twice the longest period any test or benchmark
@@ -82,23 +78,6 @@ class PellFundamental:
     @property
     def neg_solution(self) -> tuple[int, int] | None:
         return (self.p, self.q) if self.unit_norm == -1 else None
-
-
-@dataclass(frozen=True)
-class GeneralizedSolution:
-    """Positive (x, y) with a x^2 - b y^2 = eps; xy is odd whenever |eps| = 2."""
-
-    a: int
-    b: int
-    eps: int
-    x: int
-    y: int
-
-    def check(self) -> bool:
-        ok = self.a * self.x * self.x - self.b * self.y * self.y == self.eps
-        if abs(self.eps) == 2:
-            ok = ok and self.x * self.y % 2 == 1
-        return ok and self.x > 0 and self.y > 0
 
 
 def cf_sqrt(D: int) -> CFExpansion:

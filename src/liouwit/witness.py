@@ -50,8 +50,7 @@ from .factor import (
 # construct and pell are imported where a certificate or a Pell solution is
 # built, so that the sign sieve loads neither
 if TYPE_CHECKING:
-    from .construct import MCertificate, PrimePairCertificate
-    from .pell import GeneralizedSolution
+    from .verify import GeneralizedSolution, MCertificate, PrimePairCertificate
 
 # n values per block of the sign sieve
 _SIEVE_BLOCK = 1 << 16
@@ -222,7 +221,8 @@ def _squared(fact: Factorization) -> Factorization:
 
 def _pell_identity(d0: int, eps: int) -> tuple[GeneralizedSolution, tuple[int, ...]]:
     """Least solution of x^2 - d0 y^2 = eps, and the primes of d0."""
-    from .pell import GeneralizedSolution, fundamental_solution
+    from .pell import fundamental_solution
+    from .verify import GeneralizedSolution
 
     fund = fundamental_solution(d0)
     xy = (fund.t, fund.u) if eps == 1 else fund.neg_solution

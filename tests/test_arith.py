@@ -1,6 +1,10 @@
 """Unit tests for quadratic symbols, CRT merging, primality, and prime search."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +187,28 @@ def test_sqrt_mod_against_a_table_of_squares():
             else:
                 with pytest.raises(InvalidInputError):
                     arith.sqrt_mod(a, p)
+
+
+@pytest.mark.parametrize("modulus", [9, 25])
+def test_sqrt_mod_ends_on_an_odd_square_modulus(modulus):
+    # every Jacobi symbol mod an odd square is 0 or 1, so the search for a
+    # non-residue never ends; a symbol 0 shows the modulus is not prime. A
+    # child process with a timeout makes a regression fail instead of hang
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "from liouwit.arith import sqrt_mod\n"
+        "from liouwit.errors import InvalidInputError\n"
+        "try:\n"
+        f"    sqrt_mod(1, {modulus})\n"
+        "except InvalidInputError as exc:\n"
+        "    print(exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert run.stdout == f"{modulus} is not prime\n", run.stderr

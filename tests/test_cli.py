@@ -543,19 +543,31 @@ def test_import_and_lambda_load_only_the_factor_stack():
     assert json.loads(lines[-1]) == sorted(stack + ["liouwit.cli"])
 
 
+def _write_certificate(path: Path) -> str:
+    from liouwit import construct_M, verify_certificate, with_checks
+
+    cert = construct_M(6, 1)
+    path.write_text(json.dumps(with_checks(cert, verify_certificate(cert)).to_json_dict()))
+    return str(path)
+
+
+_CERTIFICATE_STACK = ["liouwit.construct", "liouwit.forms", "liouwit.genus", "liouwit.pell"]
+
+
 @pytest.mark.parametrize(
     "argv,absent",
     [
         (["pell", "6"], ["liouwit.construct"]),
         (["genus", "6", "--form", "2,0,-3"], ["liouwit.construct"]),
-        (
-            ["sign-report", "6", "--bound", "10000"],
-            ["liouwit.construct", "liouwit.forms", "liouwit.genus", "liouwit.pell"],
-        ),
+        (["sign-report", "6", "--bound", "10000"], _CERTIFICATE_STACK),
+        (["construct-m", "6", "--t", "1"], ["liouwit.genus"]),
+        (["verify", "{cert}"], _CERTIFICATE_STACK),
     ],
-    ids=["pell", "genus", "sign_report"],
+    ids=["pell", "genus", "sign_report", "construct_m", "verify"],
 )
-def test_command_loads_no_certificate_module(argv, absent):
+def test_command_loads_no_certificate_module(tmp_path, argv, absent):
+    cert = _write_certificate(tmp_path / "cert.json")
+    argv = [arg.format(cert=cert) for arg in argv]
     probe = (
         "import json, sys\n"
         "from liouwit import cli\n"
@@ -566,6 +578,100 @@ def test_command_loads_no_certificate_module(argv, absent):
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert "liouwit.cli" in loaded
     assert not set(absent) & set(loaded)
+
+
+def test_verify_loads_only_the_verifier(tmp_path):
+    # the verifier imports arith and errors only; cli brings factor
+    cert = _write_certificate(tmp_path / "cert.json")
+    probe = (
+        "import json, sys\n"
+        "import liouwit.verify\n"
+        + _PRINT_LOADED
+        + "from liouwit import cli\n"
+        f"assert cli.main(['verify', {cert!r}]) == 0\n"
+        + _PRINT_LOADED
+    )
+    run = _fresh_python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    verifier = ["liouwit", "liouwit.arith", "liouwit.errors", "liouwit.verify"]
+    assert json.loads(lines[0]) == verifier
+    assert json.loads(lines[-1]) == sorted(verifier + ["liouwit.cli", "liouwit.factor"])
+
+
+def _forged_m_certificate(d_primes, m_primes, e1, e2, t):
+    """A document that passes the structural gate and nothing else: the
+    primes sit in the classes mod 8 the gate asks for, but no symbol is
+    arranged and the evidence x = y = 1 solves nothing."""
+    from liouwit import GeneralizedSolution, MCertificate, QuadForm
+
+    d, M = math.prod(d_primes), math.prod(m_primes) * e1 * e2
+    a, b = (M, d) if t == 1 else (d, M)
+    r = len(d_primes)
+    return MCertificate(
+        d=d, d_primes=tuple(d_primes), t=t, s=-t, lambda_d=(-1) ** r, lambda_m=(-1) ** (r + 1),
+        m_primes=tuple(m_primes), e1=e1, e2=e2, M=M, D=d * M,
+        predicted_form=QuadForm(a, 0, -b), pell_evidence=GeneralizedSolution(a, b, 1, 1, 1),
+    ).to_json_dict()
+
+
+# 21 primes whose Legendre symbols are all +1; 7 is the only one = 3 mod 4,
+# so every row of the genus table but its own is 0 and the kernel has
+# dimension 20: 2^20 - 1 split candidates pass, and none may be listed
+MUTUAL_RESIDUES = (
+    281, 673, 3329, 3833, 14281, 26713, 63617, 74729, 81097, 124433, 196169,
+    984617, 2831641, 9132337, 24040657, 60375961, 162167009, 313826297,
+)
+
+FORGERIES = {
+    # d = 3 * 5 * ... * 31, nine m_i = 1 mod 8 but the last = 5, e1 = 7, e2 = 3
+    "first_odd_primes": (
+        lambda: _forged_m_certificate(
+            (3, 5, 7, 11, 13, 17, 19, 23, 29, 31),
+            (41, 73, 89, 97, 113, 137, 193, 233, 37),
+            47,
+            43,
+            1,
+        ),
+        "principal-genus split candidates ['(2678013016024791, 0, -50367621081032255)']",
+    ),
+    "mutual_residues": (
+        lambda: _forged_m_certificate(
+            MUTUAL_RESIDUES[:10], MUTUAL_RESIDUES[10:] + (29,), 7, 53, -1
+        ),
+        "[1048575 principal-genus split candidates, expected exactly [",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGERIES))
+def test_verify_rejects_a_forged_genus_table_at_once(tmp_path, name):
+    # 21 primes of D: a clause that listed the 2^21 divisors of D took
+    # seconds and hundreds of MB; the kernel of the table takes 21 rows
+    from liouwit import jacobi
+    from liouwit.verify import verify_document
+
+    build, detail = FORGERIES[name]
+    doc = build()
+    primes = [int(p) for p in doc["d_primes"] + doc["m_primes"] + [doc["e1"], doc["e2"]]]
+    assert len(set(primes)) == 21
+    if name == "mutual_residues":
+        assert all(jacobi(p, q) == 1 for p in primes for q in primes if p != q)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    run = _fresh_python("-m", "liouwit.cli", "verify", str(path))
+    assert time.monotonic() - start < 0.5
+    assert run.returncode == EXIT_VERIFICATION_FAILURE
+    genus = [line for line in run.stderr.splitlines() if "genus_uniqueness  [" in line]
+    assert len(genus) == 1 and detail in genus[0]
+    tracemalloc.start()
+    try:
+        assert not verify_document(doc).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_package_exports_its_table():

@@ -2,8 +2,11 @@
 
 import json
 from dataclasses import replace
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouwit import (
     GeneralizedSolution,
@@ -26,7 +29,7 @@ from liouwit import (
     verify_prime_pair,
     with_checks,
 )
-from liouwit.construct import CERTIFICATE_KINDS
+from liouwit.verify import CERTIFICATE_KINDS, verify_document
 
 
 def test_ordered_prime_list():
@@ -440,17 +443,17 @@ def test_report_summary_format():
 
 
 def test_genus_clause_assigns_the_characters_once(monkeypatch):
-    from liouwit import construct
+    from liouwit import verify
 
     cert = construct_M(210, -1)
     calls = []
-    real = construct.assigned_characters
+    real = verify.character_system
 
-    def counting(D, primes=None):
+    def counting(D, primes):
         calls.append(D)
         return real(D, primes)
 
-    monkeypatch.setattr(construct, "assigned_characters", counting)
+    monkeypatch.setattr(verify, "character_system", counting)
     assert verify_certificate(cert).passed
     assert calls == [cert.D]
 
@@ -462,10 +465,10 @@ def test_genus_clause_assigns_the_characters_once(monkeypatch):
 )
 def test_genus_clause_factors_nothing(monkeypatch, build):
     # the gate has tied the certificate's primes to D, so the clause reads them
-    from liouwit import construct, factor, forms, genus
+    from liouwit import factor, forms, genus, verify
 
     cert = build()
-    expected = construct._clause_genus(cert)
+    expected = verify._clause_genus(cert)
     calls = []
     real = factor.factorize
 
@@ -473,9 +476,9 @@ def test_genus_clause_factors_nothing(monkeypatch, build):
         calls.append(n)
         return real(n, *args, **kwargs)
 
-    for module in (factor, forms, genus, construct):
+    for module in (factor, forms, genus, verify):
         monkeypatch.setattr(module, "factorize", counting, raising=False)
-    assert construct._clause_genus(cert) == expected
+    assert verify._clause_genus(cert) == expected
     assert calls == []
 
 
@@ -498,7 +501,7 @@ def test_genus_clause_factors_nothing(monkeypatch, build):
 def test_genus_clause_searches_no_represented_value(monkeypatch, build, pinned):
     # every candidate's genus is read off one table of Legendre symbols among
     # the k primes of D: no value is searched for, k^2 + k symbols at most
-    from liouwit import arith, construct, forms, genus
+    from liouwit import arith, forms, genus, verify
 
     cert = build()
     k = len(cert.identity[1])
@@ -512,10 +515,10 @@ def test_genus_clause_searches_no_represented_value(monkeypatch, build, pinned):
         return wrapper
 
     for name in calls:
-        for module in (arith, forms, genus, construct):
+        for module in (arith, forms, genus, verify):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    assert construct._clause_genus(cert) == pinned
+    assert verify._clause_genus(cert) == pinned
     assert calls["represented_value_coprime"] == 0
     assert 0 < calls["jacobi"] <= k * k + k
 
@@ -546,3 +549,50 @@ def test_verifier_runs_no_continued_fraction(monkeypatch, build, verify):
     monkeypatch.setattr(pell, "cf_sqrt", counting)
     assert verify(cert).passed
     assert calls == []
+
+
+@cache
+def _tamper_subjects() -> tuple[str, ...]:
+    """Documents, with their clause outcomes, of three m- and two pair certificates."""
+    certs = [construct_M(6, 1), construct_M(30, -1), construct_M(10, -1)]
+    certs += [construct_prime_pair(3), construct_prime_pair(7)]
+    docs = []
+    for cert in certs:
+        verify = CERTIFICATE_KINDS[cert.kind][1]
+        docs.append(json.dumps(with_checks(cert, verify(cert)).to_json_dict()))
+    return tuple(docs)
+
+
+def _value_fields(doc: dict) -> list[tuple]:
+    """(container key, index or name) of every value-bearing entry of a document."""
+    found = []
+    for key, value in doc.items():
+        if isinstance(value, list):
+            found += [(key, i) for i in range(len(value))]
+        elif isinstance(value, dict):
+            found += [(key, name) for name in value]
+        elif key != "kind":
+            found.append((None, key))
+    return found
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_tampered_document_never_verifies(data):
+    # one value changed anywhere (an integer, a list entry, a sign field, a
+    # coordinate of the form or the evidence, or one recorded clause outcome):
+    # the document is refused as malformed or fails a clause, nothing else
+    doc = json.loads(data.draw(st.sampled_from(_tamper_subjects())))
+    key, name = data.draw(st.sampled_from(_value_fields(doc)))
+    holder = doc if key is None else doc[key]
+    old = holder[name]
+    if key == "checks":
+        old["passed"] = not old["passed"]
+    else:
+        new = data.draw(st.integers(-(2**256), 2**256).filter(lambda v: v != int(old)))
+        holder[name] = new if isinstance(old, int) else str(new)
+    try:
+        report = verify_document(doc)
+    except InvalidInputError:
+        return
+    assert not report.passed, (key, name)

@@ -18,7 +18,7 @@ from liouwit import (
     jacobi,
 )
 from liouwit.factor import squarefree_primes
-from liouwit.genus import principal_genus_candidates
+from liouwit.verify import character_system, principal_genus_candidates
 
 
 def test_assigned_characters_by_residue_class():
@@ -124,7 +124,7 @@ def test_principal_genus_candidates_d15():
 
 def principal_by_search(D, primes):
     # the oracle: every candidate's characters at a represented value
-    system = assigned_characters(D, primes)
+    system = character_system(D, primes)
     candidates = enumerate_ambiguous_candidates(D)
     return tuple(
         [f for f in forms if generic_values(f, system).all_ones]
@@ -142,7 +142,7 @@ def test_principal_genus_candidates_match_generic_values():
     cases += [(D, squarefree_primes(D)) for D in (odd_to_23, 2 * odd_to_23)]
     assert len(cases) == 1825
     for D, primes in cases:
-        got = principal_genus_candidates(assigned_characters(D, primes))
+        got = principal_genus_candidates(character_system(D, primes))
         assert got == principal_by_search(D, primes), D
 
 
@@ -166,6 +166,6 @@ def prime_sets(draw):
 @given(prime_sets())
 def test_principal_genus_candidates_property(case):
     D, primes = case
-    assert principal_genus_candidates(assigned_characters(D, primes)) == (
+    assert principal_genus_candidates(character_system(D, primes)) == (
         principal_by_search(D, primes)
     )
