@@ -243,41 +243,53 @@ def next_prime_in_class(
     )
 
 
-def sqrt_mod(a: int, p: int) -> int:
-    """The least r >= 0 with r^2 = a (mod p), for a prime p; Tonelli-Shanks.
+def square_roots(c: int, p: int) -> tuple[int, ...]:
+    """The roots of r^2 = c (mod p) for an odd prime p: (0,) if p | c, else (r, p - r) or ().
 
-    Raises InvalidInputError when a is not a square modulo p, or when the
-    non-residue search meets a factor of p. Otherwise p is trusted to be prime.
+    One candidate, a root iff c is a square: c^((p+1)/4) for p = 3 (mod 4),
+    Atkin's c v (2c v^2 - 1) with v = (2c)^((p-5)/8) for p = 5 (mod 8), and
+    the Tonelli-Shanks root for p = 1 (mod 8). Raises InvalidInputError when
+    that non-residue search meets a factor of p; otherwise p is trusted to be prime.
     """
-    a %= p
-    if a == 0 or p == 2:
-        return a
+    c %= p
+    if c == 0:
+        return (0,)
     if p & 3 == 3:
-        r = pow(a, (p + 1) >> 2, p)
+        r = pow(c, (p + 1) >> 2, p)
+    elif p & 7 == 5:
+        v = pow(2 * c, (p - 5) >> 3, p)
+        r = c * v * (2 * c * v * v - 1) % p
     else:
-        # p - 1 = q 2^s with q odd; z is a non-residue, 2 when p = 5 mod 8
+        # p - 1 = q 2^s with q odd; z is a non-residue
         s = ((p - 1) & (1 - p)).bit_length() - 1
         q = (p - 1) >> s
-        z = 2 if p & 7 == 5 else 3
+        z = 3
         while (symbol := jacobi(z, p)) != -1:
             if symbol == 0:  # z < p shares a factor with p; mod an odd square no -1 exists
                 raise InvalidInputError(f"{p} is not prime")
             z += 2  # 2 is a square mod p = 1 mod 8, so (2z / p) = (z / p)
-        v = pow(a, q >> 1, p)  # a^((q-1)/2): r = a^((q+1)/2) and t = a^q = r^2 / a
-        c, r, t = pow(z, q, p), a * v % p, a * v * v % p
+        v = pow(c, q >> 1, p)  # c^((q-1)/2): r = c^((q+1)/2) and t = c^q = r^2 / c
+        g, r, t = pow(z, q, p), c * v % p, c * v * v % p
         while t != 1:
-            # least i with t^(2^i) = 1; i = s (t of order 2^s) means a is no square
+            # least i with t^(2^i) = 1; i = s (t of order 2^s) means c is no square
             i, t2 = 0, t
             while t2 != 1 and i < s:
                 t2, i = t2 * t2 % p, i + 1
             if i == s:
                 break
-            b = pow(c, 1 << (s - i - 1), p)
-            s, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-    if r * r % p != a:
-        raise InvalidInputError(f"{a} is not a square modulo {p}")
-    return min(r, p - r)
+            b = pow(g, 1 << (s - i - 1), p)
+            s, g = i, b * b % p
+            t, r = t * g % p, r * b % p
+    return (r, p - r) if r * r % p == c else ()
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """The least r >= 0 with r^2 = a (mod p) for a prime p; InvalidInputError if none."""
+    if p == 2:
+        return a % 2
+    if not (roots := square_roots(a, p)):
+        raise InvalidInputError(f"{a % p} is not a square modulo {p}")
+    return min(roots)
 
 
 def integer_sqrt(n: int) -> tuple[int, bool]:

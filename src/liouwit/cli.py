@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "out (default %(default)s)")
     p.add_argument("--scan-bound", type=int, default=BRUTE_SCAN_BOUND,
                    dest="scan_bound",
-                   help="brute scan bound (default %(default)s)")
+                   help="brute scan bound, counted from the first n with "
+                   "n^2 + d >= 1 (default %(default)s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_witness)
 

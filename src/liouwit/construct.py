@@ -31,7 +31,7 @@ from .arith import (
 )
 from .errors import InternalInvariantError, InvalidInputError, SearchExhaustedError
 from .factor import squarefree_primes
-from .pell import principal_class_ambiguous, solve_generalized
+from .pell import solve_generalized
 from .verify import (
     MCertificate,
     PrimePairCertificate,
@@ -213,9 +213,9 @@ def construct_prime_pair(
     """Build the pair (e1, e2) for prime p = 3 mod 4 and its Pell evidence.
 
     e1 = 3 (mod 4) is the least prime with (p / e1) = 1; e2 = 1 (mod 4) is the
-    least prime with (p / e2) = 1 and (e1 / e2) = -1. The ambiguous-candidate
-    scan over D = p e1 e2 must then select (p, 0, -e1 e2) and a solution of
-    p k^2 - e1 e2 y^2 = 1.
+    least prime with (p / e2) = 1 and (e1 / e2) = -1. genus_uniqueness then
+    proves (p, 0, -e1 e2) the principal ambiguous form of D = p e1 e2, so
+    p k^2 - e1 e2 y^2 = 1 has a least solution, the evidence.
     """
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
@@ -237,17 +237,11 @@ def construct_prime_pair(
         filters=((p, 1), (e1, -1)),
     )
     m = e1 * e2
-    D = p * m
-    predicted = QuadForm(p, 0, -m)
-    scan = principal_class_ambiguous(D)
-    if scan is None:
-        raise InternalInvariantError(f"unit norm -1 for D={D} contradicts e1 | D")
-    form, solution = scan
-    if form != predicted or solution.eps != 1:
+    solution = solve_generalized(p, m, 1)
+    if solution is None:
         raise InternalInvariantError(
-            f"principal candidate for D={D} is {form} with eps={solution.eps}, "
-            f"expected {predicted} with eps=1"
+            f"p k^2 - {m} y^2 = 1 is insoluble for p={p}, against genus_uniqueness"
         )
     return PrimePairCertificate(
-        p=p, e1=e1, e2=e2, m=m, D=D, predicted_form=predicted, evidence=solution
+        p=p, e1=e1, e2=e2, m=m, D=p * m, predicted_form=QuadForm(p, 0, -m), evidence=solution
     )

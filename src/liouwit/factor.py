@@ -21,7 +21,7 @@ _TRIAL_LIMIT = 10**6
 # Iterations of the rho inner loop before giving up; deterministic, not wall-clock.
 DEFAULT_FACTOR_BUDGET = 4_000_000
 
-# Largest n a brute scan over n^2 + d, or a sign report, runs to.
+# Largest n a sign report runs to; a brute scan runs this far past its first n^2 + d >= 1.
 BRUTE_SCAN_BOUND = 10**7
 
 

@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 
 from .arith import integer_sqrt
 from .errors import InternalInvariantError, InvalidInputError, SearchExhaustedError
-from .forms import enumerate_ambiguous_candidates, half_parameters, split_parameters
 from .verify import GeneralizedSolution, QuadForm
 
 # cf_sqrt refuses a period of this length or more; even, so that the half
@@ -295,6 +294,9 @@ def principal_class_ambiguous(
     solution. Exactly one candidate may pass; anything else raises
     InternalInvariantError.
     """
+    # forms is loaded here only, so that no certificate construction loads it
+    from .forms import enumerate_ambiguous_candidates, half_parameters, split_parameters
+
     candidates = enumerate_ambiguous_candidates(D)
     if unit_norm(D) == -1:
         return None

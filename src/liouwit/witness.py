@@ -14,11 +14,11 @@ exactly, with a block sieve over the progressions of n on which a prime power
 divides n^2 + d. An odd prime p not dividing d has such progressions iff
 (-4d/p) = 1, a character mod 4|d|: while (4|d|)^2 <= the sieve limit, a table
 of classes skips most primes that have none (see _sieve_roots). Each hit
-flips a parity byte and adds the prime's rounded logarithm to a log byte,
-both by bytes.translate on a slice; a log byte short of the value's own
-logarithm by a margin that rounding cannot cross means one prime above the
-sieve limit is left (see _lambda_blocks). No primality test runs unless |d|
-is far above the square of the range.
+adds to one byte per n, by bytes.translate on a slice: one to the parity in
+bit 0, the prime's rounded logarithm to the weight sum above it. A sum short
+of the value's own logarithm by a margin that rounding cannot cross means
+one prime above the sieve limit is left (see _lambda_blocks). No primality
+test runs unless |d| is far above the square of the range.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, sqrt_mod
+# sqrt_mod is bound, unused, because bench/tracer.py wraps it and primerange here by name
+from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, sqrt_mod, square_roots  # noqa: F401
 from .errors import (
     FactorBudgetExceededError,
     InternalInvariantError,
@@ -58,8 +59,8 @@ _SIEVE_BLOCK = 1 << 16
 # the sign sieve divides out every prime up to at least this
 _SIEVE_FLOOR = 10**4
 
-# a prime p weighs round(_LOG_SCALE * log2 p) units in the sign sieve's log bytes
-_LOG_SCALE = 4
+# a prime p weighs round(_LOG_SCALE * log2 p) units in the sign sieve's bytes
+_LOG_SCALE = 2
 
 # Pell coordinates larger than this are not worth a factoring attempt: the
 # iteration budget can only extract factors far below such a k's plausible
@@ -390,12 +391,11 @@ def _witness_stream(
                     break
 
     if verified < count:
-        for n in range(0, scan_bound + 1):
+        first = _first_positive(d)
+        for n in range(first, first + scan_bound + 1):
             if n in emitted:
                 continue
             value = n * n + d
-            if value < 1:
-                continue
             try:
                 fact = factorize(value, budget=budget)
             except FactorBudgetExceededError:
@@ -409,7 +409,7 @@ def _witness_stream(
                 break
         else:
             raise SearchExhaustedError(
-                f"brute scan exhausted at n = {scan_bound} with "
+                f"brute scan exhausted at n = {first + scan_bound} with "
                 f"{verified} of {count} witnesses for d = {d}, sign {want}"
             )
     return sorted(out, key=lambda w: w.n)
@@ -428,7 +428,8 @@ def minus_witnesses(
     after the primes of the coordinates factored before it are divided out,
     with budget // 4 rho iterations for the rest; a larger k, or one that
     exhausts its share, gives an unverified witness. The brute scan that tops
-    the stream up to `count` verified witnesses spends up to `budget` per n.
+    the stream up to `count` verified witnesses spends up to `budget` per n,
+    over the scan_bound + 1 values of n from the first with n^2 + d >= 1.
     """
     return _witness_stream(d, -1, count, cap, budget, scan_bound)
 
@@ -447,6 +448,11 @@ def plus_witnesses(
     return _witness_stream(d, 1, count, cap, budget, scan_bound)
 
 
+def _first_positive(d: int) -> int:
+    """The least n >= 0 with n^2 + d >= 1."""
+    return 0 if d > 0 else math.isqrt(-d) + 1
+
+
 def _sieve_limit(d: int, bound: int) -> int:
     """Largest prime the sign sieve divides out of n^2 + d for n <= bound.
 
@@ -456,29 +462,6 @@ def _sieve_limit(d: int, bound: int) -> int:
     """
     top = math.isqrt(max(bound * bound + d, 0))
     return min(top, max(_SIEVE_FLOOR, bound))
-
-
-def _square_roots(c: int, p: int) -> tuple[int, ...]:
-    """The roots of r^2 = c (mod p) for an odd prime p: (0,) if p | c, else two or none.
-
-    One residue test: for p = 3 (mod 4) the candidate c^((p+1)/4), and for
-    p = 5 (mod 8) Atkin's c v (2c v^2 - 1) with v = (2c)^((p-5)/8), is a root
-    iff c is a square; for p = 1 (mod 8) so is sqrt_mod's Tonelli-Shanks root.
-    """
-    c %= p
-    if c == 0:
-        return (0,)
-    if p & 3 == 3:
-        r = pow(c, (p + 1) >> 2, p)
-    elif p & 7 == 5:
-        v = pow(2 * c, (p - 5) >> 3, p)
-        r = c * v * (2 * c * v * v - 1) % p
-    else:
-        try:
-            r = sqrt_mod(c, p)
-        except InvalidInputError:
-            return ()
-    return (r, p - r) if r * r % p == c else ()
 
 
 def _sieve_roots(d: int, limit: int):
@@ -498,7 +481,7 @@ def _sieve_roots(d: int, limit: int):
             seen = 0 if table is None else table[p % mod]
             if seen == 2:
                 continue
-            roots = (d & 1,) if p == 2 else _square_roots(-d, p)
+            roots = (d & 1,) if p == 2 else square_roots(-d, p)
             if seen and not roots:
                 raise InternalInvariantError(f"{-d} is no square mod {p}, unlike its class")
             if table is not None:
@@ -529,7 +512,7 @@ def _lift(d: int, p: int, q: int, classes: list) -> list:
         else:
             # c is prime to p only if m^2 = q; then r = 0, b = 1 and c = 2
             if c % p:
-                ts = _square_roots(-a, p)
+                ts = square_roots(-a, p)
             else:
                 ts = [-a * pow(b, -1, p) % p] if b % p else []
             lifted += [(r + t * m, m * p) for t in ts]
@@ -582,12 +565,9 @@ def _plus(w: int) -> bytes:
 
 
 @cache
-def _below(k: int) -> bytes:
-    """Byte table that maps x to 1 if x < k, else to 0."""
-    return bytes(x < k for x in range(256))
-
-
-_FLIP = bytes(x ^ 1 for x in range(256))
+def _odd(k: int) -> bytes:
+    """Byte table that maps a sieve byte x to its parity, flipped if x >> 1 < k."""
+    return bytes((x & 1) ^ ((x >> 1) < k) for x in range(256))
 
 
 def _lambda_blocks(d: int, bound: int):
@@ -595,81 +575,82 @@ def _lambda_blocks(d: int, bound: int):
     odd[i] is 1 where lambda((lo + i)^2 + d) = -1 and 0 where it is +1.
 
     Every prime power p^j <= bound^2 + d with p <= _sieve_limit(d, bound)
-    is walked along its classes of n (see _power_classes). Each hit flips a
-    parity byte and adds the weight round(S log2 p), S = _LOG_SCALE, to a
-    log byte, by bytes.translate on the slice of the class; so the parity
-    byte is Omega of the divided-out part V / R of V = n^2 + d, mod 2.
+    is walked along its classes of n (see _power_classes). Each hit adds
+    2 w + 1, w = round(S log2 p) and S = _LOG_SCALE, to the byte of n by
+    bytes.translate on the slice of the class. After Omega hits of weight
+    sum W the byte is 2 W + Omega: bit 0 is Omega mod 2, and the bits above
+    read W + floor(Omega / 2), under 117 for any bound up to BRUTE_SCAN_BOUND.
 
-    Where V < (limit + 1)^2 the residual R is 1 or a prime above the limit,
-    so lambda is the parity, flipped when R > 1. The log byte decides that:
-    S log2(V / R) is S log2 V when R = 1 and at most S log2 V - S L when
-    R > 1, L = log2(limit + 1), and the threshold S log2 V - S L / 2 sits
-    halfway. Each odd prime factor rounds its weight by at most 1/2, and
-    there are fewer than log2 V / log2 3 < 1.27 L of them, so with S = 4
-    both sides keep a margin above 1.3 L >= 1 unit: a threshold one off its
-    ceiling, as at a run end rounded in floating point, still decides
-    right. Every sum stays below 256 for any bound up to BRUTE_SCAN_BOUND.
+    Where V = n^2 + d < (limit + 1)^2, what is left of V after the hits,
+    R, is 1 or a prime above the limit, so lambda is the parity, flipped
+    when R > 1. The bits above decide that: S log2(V / R) is S log2 V when
+    R = 1 and at most S log2 V - S L when R > 1, L = log2(limit + 1), and
+    the threshold S log2 V - S L / 2 sits halfway. With S = 2 each prime
+    weighs w + 1/2, save 1/2 in all, which is 0 to 1 above 2 log2 p and at
+    most 1/2 per bit of p. So the bits read at least 2 log2 V - 1/2 when
+    R = 1, at most 2.5 (log2 V - L) when R > 1, and as log2 V < 2 L each
+    side keeps a margin of L / 2: 6.6 units once the limit reaches
+    _SIEVE_FLOOR, and above 1 once it is 4. So a threshold one off its
+    ceiling, as at a run end rounded in floating point, still decides right
+    (below a limit of 4, V < 16 and that rounding crosses no integer).
 
     Only when |d| is far above bound^2, so that the limit is capped, can a
     block hold V >= (limit + 1)^2. There the walk also keeps the exact
-    product of the divided prime powers, and a residual at or above the
-    cap's square goes to _rough_liouville.
+    product of the divided prime powers, the parity is read from bit 0, and
+    a residual at or above the cap's square goes to _rough_liouville.
     """
     limit = _sieve_limit(d, bound)
     top = bound * bound + d
     square = (limit + 1) ** 2
     half = _LOG_SCALE * math.log2(limit + 1) / 2
     block = _SIEVE_BLOCK
-    # n^2 + d < 1 exactly for n < first_positive, so the walk starts at the
-    # block that holds it
-    first_positive = 0 if d > 0 else math.isqrt(-d) + 1
-    first_lo = first_positive - first_positive % block
+    first = _first_positive(d)
+    first_lo = first - first % block
     # A class with modulus up to the block length is walked through every
     # block. A coarser one hits a block at most once, so it waits in the
     # bucket of the block that holds its next n from first_lo on; the work
     # stays linear in the bound however many blocks there are. A bucket is a
-    # flat array of (step, n, p << 8 | weight); any step above the bound
+    # flat array of (step, n, p << 8 | byte added); any step above the bound
     # stands for m.
     small = []
     buckets = [array("q") for _ in range(bound // block + 1)]
     for p, roots in _sieve_roots(d, limit):
-        w = round(_LOG_SCALE * math.log2(p))
+        hit = 2 * round(_LOG_SCALE * math.log2(p)) + 1
         for r, m in _power_classes(d, p, roots, top, bound):
             if m <= block:
-                small.append((m, r, _plus(w), p))
+                small.append((m, r, _plus(hit), p))
                 continue
             step = min(m, bound + 1)
             n = r + max(0, -((r - first_lo) // step)) * step
             if n <= bound:
-                buckets[n // block].extend((step, n, p << 8 | w))
+                buckets[n // block].extend((step, n, p << 8 | hit))
     for lo in range(first_lo, bound + 1, block):
         b, size = lo // block, min(block, bound + 1 - lo)
-        odd, logs = bytearray(size), bytearray(size)
+        sieve = bytearray(size)
         capped = (lo + size - 1) ** 2 + d >= square
         product = [1] * size if capped else None
         for m, r, plus, p in small:
             i = (r - lo) % m
-            odd[i::m] = odd[i::m].translate(_FLIP)
-            logs[i::m] = logs[i::m].translate(plus)
+            sieve[i::m] = sieve[i::m].translate(plus)
             if capped:
                 product[i::m] = map(p.__mul__, product[i::m])
         due, buckets[b] = buckets[b], None
         for m, n, key in zip(due[::3], due[1::3], due[2::3]):
             i = n - lo
-            odd[i] ^= 1
-            # the low byte of key is the weight
-            logs[i] = (logs[i] + key) & 255
+            # the low byte of key is what a hit adds
+            sieve[i] = (sieve[i] + key) & 255
             if capped:
                 product[i] *= key >> 8
             if n + m <= bound:
                 buckets[(n + m) // block].extend((m, n + m, key))
-        start = max(0, min(size, first_positive - lo))
+        start = max(0, min(size, first - lo))
         if start == size:
             continue
         if capped:
             for i in range(start, size):
                 rest = ((lo + i) ** 2 + d) // product[i]
-                odd[i] ^= rest > 1 if rest < square else _rough_liouville(rest, limit) < 0
+                flip = rest > 1 if rest < square else _rough_liouville(rest, limit) < 0
+                sieve[i] = sieve[i] & 1 ^ flip
         else:
             i = start
             while i < size:
@@ -677,12 +658,9 @@ def _lambda_blocks(d: int, bound: int):
                 # the ceiling stays k while n^2 + d <= 2^((k + half) / S)
                 j = math.isqrt(max(int(2 ** ((k + half) / _LOG_SCALE)) - d, 0)) + 1 - lo
                 j = min(size, max(i + 1, j))
-                logs[i:j] = logs[i:j].translate(_below(k))
+                sieve[i:j] = sieve[i:j].translate(_odd(k))
                 i = j
-            odd = (int.from_bytes(odd, "little") ^ int.from_bytes(logs, "little")).to_bytes(
-                size, "little"
-            )
-        yield lo + start, bytes(odd[start:])
+        yield lo + start, bytes(sieve[start:])
 
 
 def sign_change_report(d: int, bound: int) -> SignChangeReport:

@@ -485,6 +485,17 @@ def test_witness_falls_through_to_the_brute_scan_past_the_period_cap(d, brute_n,
     assert brute[0] == brute_n
 
 
+@pytest.mark.parametrize("sign, n", [("1", 10**15 + 2), ("-1", 10**15 + 1)])
+def test_witness_scan_starts_at_the_first_positive_value(sign, n):
+    # every n <= 10^7 gives n^2 + d < 0 here; the scan counts from
+    # isqrt(-d) + 1 = 10^15 + 1, where n^2 + d = 2 10^15 = 2^16 5^15
+    d = str(-(10**30 + 1))
+    run = _fresh_python("-m", "liouwit.cli", "witness", "--sign", sign, "--json", "--", d)
+    assert run.returncode == EXIT_OK, run.stderr
+    [witness] = json.loads(run.stdout)["result"]["witnesses"]
+    assert (int(witness["n"]), witness["lambda"], witness["verified"]) == (n, int(sign), True)
+
+
 def test_witness_json_walks_a_capped_continued_fraction_once(monkeypatch, capsys):
     # the plan remembers that the certificate of (462, +1) ran past
     # MAX_CF_PERIOD, so the JSON plan does not build it a second time
@@ -557,13 +568,15 @@ _CERTIFICATE_STACK = ["liouwit.construct", "liouwit.forms", "liouwit.genus", "li
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["pell", "6"], ["liouwit.construct"]),
+        (["pell", "6"], ["liouwit.construct", "liouwit.forms"]),
         (["genus", "6", "--form", "2,0,-3"], ["liouwit.construct"]),
         (["sign-report", "6", "--bound", "10000"], _CERTIFICATE_STACK),
-        (["construct-m", "6", "--t", "1"], ["liouwit.genus"]),
+        (["construct-m", "6", "--t", "1"], ["liouwit.forms", "liouwit.genus"]),
+        # the prime-pair branch
+        (["witness", "-11", "--count", "1"], ["liouwit.forms", "liouwit.genus"]),
         (["verify", "{cert}"], _CERTIFICATE_STACK),
     ],
-    ids=["pell", "genus", "sign_report", "construct_m", "verify"],
+    ids=["pell", "genus", "sign_report", "construct_m", "witness_prime_pair", "verify"],
 )
 def test_command_loads_no_certificate_module(tmp_path, argv, absent):
     cert = _write_certificate(tmp_path / "cert.json")

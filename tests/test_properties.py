@@ -64,6 +64,39 @@ def roots_by_squaring(p: int) -> dict[int, tuple[int, ...]]:
     return {x * x % p: tuple(sorted({x, -x % p})) for x in range(p)}
 
 
+def test_square_roots_match_squaring_below_300():
+    # every c mod every odd prime below 300: each of the three branches
+    # meets 0, squares and non-squares
+    for p in (q for q in SMALL_PRIMES if q < 300):
+        table = roots_by_squaring(p)
+        for c in range(-p, p):
+            roots = arith.square_roots(c, p)
+            assert tuple(sorted(roots)) == table.get(c % p, ()), (c, p)
+            assert len(roots) != 2 or roots[0] + roots[1] == p, (c, p)
+
+
+def least_prime_above(lo: int, k: int) -> int:
+    """The least prime q > lo with q = k (mod 8)."""
+    q = nextprime(lo)
+    return q if q % 8 == k else least_prime_above(q, k)
+
+
+CLASS_PRIMES = [least_prime_above(10**18, k) for k in (1, 3, 5, 7)]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(CLASS_PRIMES + BIG_PRIMES), st.integers(min_value=1), st.booleans())
+def test_sqrt_mod_is_the_least_of_square_roots(p, c, square):
+    c = c * c if square else c
+    roots = arith.square_roots(c, p)
+    if roots:
+        assert all(r * r % p == c % p for r in roots) and sqrt_mod(c, p) == min(roots)
+    else:
+        assert pow(c, (p - 1) // 2, p) == p - 1
+        with pytest.raises(InvalidInputError):
+            sqrt_mod(c, p)
+
+
 @PROPERTY_SETTINGS
 @given(
     st.integers(min_value=-1250, max_value=1250).filter(lambda d: d != 0)
@@ -214,8 +247,8 @@ def test_sign_change_report_across_block_boundaries(monkeypatch):
 
 def test_sign_change_report_walks_no_block_below_the_first_defined_n(monkeypatch):
     # n^2 + d < 1 for n < isqrt(-d) + 1; with a block length of 7 several
-    # blocks lie wholly below that n. Each walked block allocates its parity
-    # and log bytes, so counting the allocations counts the blocks walked.
+    # blocks lie wholly below that n. Each walked block allocates its one
+    # byte per n, so counting the allocations counts the blocks walked.
     monkeypatch.setattr(witness, "_SIEVE_BLOCK", 7)
     allocated, real = [], bytearray
 
@@ -229,18 +262,28 @@ def test_sign_change_report_walks_no_block_below_the_first_defined_n(monkeypatch
         for bound in (first - 1, first, first + 6, first + 60, 3 * first):
             allocated.clear()
             assert report_counts(d, bound) == direct_counts(d, bound), (d, bound)
-            assert len(allocated) == 2 * max(0, bound // 7 - first // 7 + 1), (d, bound)
+            assert len(allocated) == max(0, bound // 7 - first // 7 + 1), (d, bound)
 
 
 @pytest.mark.parametrize(
     "factors, residual",
     [
-        # round(4 log2 p) < 4 log2 p for each p here, and nothing is left
-        # over; at a scale of 1/2 instead of 4, eleven sevens err past the margin
+        # The sieve weighs p as round(S log2 p) with S = 2, plus 1/2 from
+        # the carry out of the parity bit; each side of its threshold keeps
+        # L / 2 units, L = log2(limit + 1), however every weight rounds.
+        # Here round(4 log2 p) < 4 log2 p for each p, and nothing is left over
         ((7,) * 11, False),
         ((3,) * 9 + (5, 5, 5, 17, 29), False),
         # round(4 log2 p) > 4 log2 p for each, times a prime above the limit
         ((11, 11, 13, 31), True),
+        # round(2 log2 p) < 2 log2 p for each (each 19 falls 0.496 short)
+        ((19,) * 7, False),
+        ((19,) * 9, False),
+        ((19,) * 5 + (13, 13, 37), False),
+        # round(2 log2 p) > 2 log2 p for each, times a prime above the limit;
+        # and a 2 weighs 2.5 units against 2 log2 2 = 2, the most per bit
+        ((5, 5, 7, 7, 11, 11), True),
+        ((2,) * 16, True),
     ],
 )
 def test_sign_change_report_when_every_rounded_weight_errs_one_way(factors, residual):

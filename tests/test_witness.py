@@ -401,16 +401,18 @@ def test_sieve_roots_with_the_table_at_its_least_limit():
 
 
 def test_sieve_roots_skip_later_primes_of_a_non_residue_class(monkeypatch):
-    # -6 is a square mod p only in some classes mod 24; sqrt_mod serves the
-    # primes p = 1 mod 8, of which those = 17 mod 24 are non-residues. Only
-    # the first prime of each non-residue class may reach sqrt_mod.
-    calls, real = [], witness.sqrt_mod
+    # -6 is a square mod p only in some classes mod 24; among the primes
+    # p = 1 mod 8, which square_roots serves by Tonelli-Shanks, those = 17
+    # mod 24 are non-residues. Only the first prime of each non-residue
+    # class may reach square_roots.
+    calls, real = [], witness.square_roots
 
     def counting(a, p):
-        calls.append((a, p))
+        if p % 8 == 1:
+            calls.append((a, p))
         return real(a, p)
 
-    monkeypatch.setattr(witness, "sqrt_mod", counting)
+    monkeypatch.setattr(witness, "square_roots", counting)
     report = sign_change_report(6, 10**4)
     assert (report.count_minus, report.count_plus, report.first_change_n) == (4998, 5003, 1)
     non_residue = [p for a, p in calls if pow(a, (p - 1) // 2, p) == p - 1]
@@ -422,12 +424,12 @@ def test_sieve_roots_skip_later_primes_of_a_non_residue_class(monkeypatch):
 
 
 def test_sieve_roots_raise_when_a_residue_class_loses_its_root(monkeypatch):
-    real = witness._square_roots
+    real = witness.square_roots
 
     def losing(c, p):
         return () if p == 97 else real(c, p)
 
-    monkeypatch.setattr(witness, "_square_roots", losing)
+    monkeypatch.setattr(witness, "square_roots", losing)
     # 73 is the first prime = 1 mod 24 and decides the class: -6 is a square
     # there. 97 is in the same class, so its lost root is caught, not dropped
     with pytest.raises(InternalInvariantError, match="unlike its class"):
