@@ -72,7 +72,6 @@ _EXPORTS = {
         "PellFundamental",
         "cf_sqrt",
         "fundamental_solution",
-        "iterate_solution",
         "principal_class_ambiguous",
         "solve_generalized",
         "unit_norm",

@@ -21,9 +21,9 @@ import time
 
 from .arith import DEFAULT_PRIME_SEARCH_CAP
 from .errors import (
-    FactorBudgetExceededError,
     InternalInvariantError,
     InvalidInputError,
+    LiouwitError,
     SearchExhaustedError,
     VerificationError,
 )
@@ -32,10 +32,10 @@ from .factor import BRUTE_SCAN_BOUND, DEFAULT_FACTOR_BUDGET, factorize
 SCHEMA_VERSION = "1.1.0"
 
 EXIT_OK = 0
-EXIT_INVALID_INPUT = 2
-EXIT_VERIFICATION_FAILURE = 3
-EXIT_RESOURCE_CAP = 4
-EXIT_INTERNAL_ASSERTION = 5
+EXIT_INVALID_INPUT = InvalidInputError.exit_code
+EXIT_VERIFICATION_FAILURE = VerificationError.exit_code
+EXIT_RESOURCE_CAP = SearchExhaustedError.exit_code
+EXIT_INTERNAL_ASSERTION = InternalInvariantError.exit_code
 
 # the human view of pell prints at most this many cycle terms; --json prints all
 CF_TERMS_SHOWN = 10
@@ -88,8 +88,7 @@ def cmd_construct_m(args) -> tuple[dict | None, str]:
     if not report.passed:
         raise VerificationError(
             f"freshly constructed certificate failed verification: "
-            f"{', '.join(report.failures)}\n{report.summary()}",
-            report=report,
+            f"{', '.join(report.failures)}\n{report.summary()}"
         )
     if args.output:
         text = json.dumps(cert.to_json_dict(), indent=2) + "\n"  # before the file opens
@@ -263,8 +262,7 @@ def cmd_verify(args) -> tuple[dict, str]:
     report = verify_document(data)
     if not report.passed:
         raise VerificationError(
-            f"verification failed: {', '.join(report.failures)}\n{report.summary()}",
-            report=report,
+            f"verification failed: {', '.join(report.failures)}\n{report.summary()}"
         )
     result = {
         "verified": True,
@@ -287,16 +285,15 @@ def _parse_form(text: str):
     return QuadForm(a, b, c)
 
 
+# the arguments a JSON envelope echoes, in this order
+_ECHOED = (
+    "n", "d", "D", "t", "sign", "count", "eps", "a", "b", "bound",
+    "form", "path", "cap", "budget", "scan_bound", "output",
+)
+
+
 def _input_echo(args) -> dict:
-    echo = {}
-    for key in ("n", "d", "D", "t", "sign", "count", "eps", "a", "b", "bound"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            value = getattr(args, key)
-            echo[key] = str(value) if isinstance(value, int) else value
-    for key in ("form", "path", "cap", "budget", "scan_bound", "output"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            echo[key] = str(getattr(args, key))
-    return echo
+    return {key: str(value) for key in _ECHOED if (value := getattr(args, key, None)) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,18 +373,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         result, human = args.handler(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILURE
-    except (SearchExhaustedError, FactorBudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_CAP
-    except InternalInvariantError as exc:
-        print(f"internal assertion violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ASSERTION
+    except LiouwitError as exc:
+        internal = isinstance(exc, InternalInvariantError)
+        print(f"{'internal assertion violated' if internal else 'error'}: {exc}", file=sys.stderr)
+        return exc.exit_code
     elapsed = time.perf_counter() - started
     if args.json:
         envelope = {

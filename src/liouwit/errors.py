@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-Each maps to a CLI exit code: invalid input (2), verification failure (3),
+Each carries its CLI exit code: invalid input (2), verification failure (3),
 resource exhaustion (4), internal invariant violation (5).
 """
 
@@ -8,9 +8,13 @@ resource exhaustion (4), internal invariant violation (5).
 class LiouwitError(Exception):
     """Base class for package errors."""
 
+    exit_code = 5
+
 
 class InvalidInputError(LiouwitError, ValueError):
     """A precondition on user-supplied input was violated."""
+
+    exit_code = 2
 
 
 class ConstraintInfeasibleError(InvalidInputError):
@@ -20,17 +24,19 @@ class ConstraintInfeasibleError(InvalidInputError):
 class SearchExhaustedError(LiouwitError):
     """A bounded deterministic search ran out before finding its target."""
 
+    exit_code = 4
+
 
 class FactorBudgetExceededError(LiouwitError):
     """Factorization gave up after the configured number of iterations."""
+
+    exit_code = 4
 
 
 class VerificationError(LiouwitError):
     """A certificate failed independent re-verification."""
 
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    exit_code = 3
 
 
 class InternalInvariantError(LiouwitError):

@@ -77,6 +77,16 @@ class Factorization:
     def liouville(self) -> int:
         return -1 if self.big_omega % 2 else 1
 
+    @property
+    def squarefree_split(self) -> tuple[int, int]:
+        """(core, scale) with value = core * scale^2, |core| square-free, sign(core) = sign."""
+        core, scale = self.sign, 1
+        for p, e in self.factors:
+            if e % 2:
+                core *= p
+            scale *= p ** (e // 2)
+        return core, scale
+
     def to_json_dict(self) -> dict:
         return {"sign": self.sign, "factors": [[str(p), e] for p, e in self.factors]}
 
@@ -186,13 +196,7 @@ def squarefree_core(n: int) -> tuple[int, int]:
     """Write n = core * scale^2 with |core| square-free and sign(core) = sign(n)."""
     if n == 0:
         raise InvalidInputError("0 has no square-free core")
-    fact = factorize(n)
-    core, scale = fact.sign, 1
-    for p, e in fact.factors:
-        if e % 2:
-            core *= p
-        scale *= p ** (e // 2)
-    return core, scale
+    return factorize(n).squarefree_split
 
 
 def squarefree_primes(n: int) -> tuple[int, ...]:

@@ -260,24 +260,6 @@ def solve_generalized(a: int, b: int, eps: int) -> GeneralizedSolution | None:
     return None if solution is None else GeneralizedSolution(a, b, eps, *solution)
 
 
-def iterate_solution(
-    sol: GeneralizedSolution, fund: PellFundamental
-) -> GeneralizedSolution:
-    """Next-larger solution of the same equation, composed with (t, u)."""
-    if abs(sol.eps) != 1:
-        raise InvalidInputError("iteration is defined for eps = +-1 only")
-    if fund.D != sol.a * sol.b:
-        raise InvalidInputError(
-            f"fundamental solution is for D={fund.D}, equation needs {sol.a * sol.b}"
-        )
-    x = fund.t * sol.x + sol.b * fund.u * sol.y
-    y = sol.a * fund.u * sol.x + fund.t * sol.y
-    nxt = GeneralizedSolution(sol.a, sol.b, sol.eps, x, y)
-    if not nxt.check():
-        raise InternalInvariantError(f"iterated solution fails substitution: {nxt}")
-    return nxt
-
-
 def unit_norm(D: int) -> int:
     """Norm of the fundamental unit of discriminant 4D: -1 iff the period is odd."""
     return fundamental_solution(D).unit_norm

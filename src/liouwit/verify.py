@@ -114,14 +114,34 @@ class VerificationReport:
 # Sign fields travel as JSON ints; every other integer as a decimal string.
 _SIGN_FIELDS = frozenset({"t", "s", "lambda_d", "lambda_m", "eps"})
 
+
+def _typed(value, kind: type):
+    """value, if its JSON type is `kind`: an int field rejects a bool."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _int_from_wire(text) -> int:
+    # an optional "-" and ASCII digits; ROADMAP item 1's "0x..." form, for
+    # integers past the int-to-str limit, will widen this rule
+    digits = _typed(text, str).removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"an integer field must be a decimal string, got {text!r}")
+    return int(text)
+
+
 # field type -> (to JSON, from JSON); a dataclass-typed field (QuadForm,
 # GeneralizedSolution) travels as an object of its own fields
 _CODEC = {
-    int: (str, int),
-    tuple[int, ...]: (lambda v: [str(p) for p in v], lambda v: tuple(int(p) for p in v)),
+    int: (str, _int_from_wire),
+    tuple[int, ...]: (
+        lambda v: [str(p) for p in v],
+        lambda v: tuple(map(_int_from_wire, _typed(v, list))),
+    ),
     tuple[tuple[str, bool], ...]: (
         lambda v: [{"clause": n, "passed": ok} for n, ok in v],
-        lambda v: tuple((str(c["clause"]), bool(c["passed"])) for c in v),
+        lambda v: tuple((str(c["clause"]), _typed(c["passed"], bool)) for c in _typed(v, list)),
     ),
 }
 
@@ -141,11 +161,13 @@ def _to_wire(value, typ, name: str = ""):
     return {n: _to_wire(getattr(value, n), t, n) for n, t, _ in _wire_fields(typ)}
 
 
-def _from_wire(data, typ):
+def _from_wire(data, typ, name: str = ""):
+    if name in _SIGN_FIELDS:
+        return _typed(data, int)
     if typ in _CODEC:
         return _CODEC[typ][1](data)
     return typ(**{
-        n: _from_wire(data[n], t)
+        n: _from_wire(data[n], t, n)
         for n, t, required in _wire_fields(typ)
         if required or n in data
     })

@@ -1,13 +1,13 @@
 """Witness generation: verified integers n with a prescribed sign of lambda(n^2 + d).
 
-The pipeline reduces d to its square-free core d0, then dispatches: composite
-cores route through the constructed integer M (or a direct Pell solution when
-that already flips the sign), prime cores route through the positive or
-negative Pell equation or a constructed prime pair, and cores equal to 1 fall
-back to a brute scan.  Constructive witnesses satisfy an exact identity
-n^2 + d = (known square-free part) * k^2 that is checked in integer arithmetic
-before any factoring happens; the factorization of k then upgrades the
-theoretical sign to an independently verified one.
+The pipeline factors d once, for its square-free core d0, then dispatches:
+composite cores route through the constructed integer M (or a direct Pell
+solution when that already flips the sign), prime cores through the positive
+or negative Pell equation or a constructed prime pair, and cores equal to 1
+fall back to a brute scan.  Constructive witnesses are the points of one unit
+orbit, each with an exact identity n^2 + d = (known factored part) * k^2 that
+is checked in integer arithmetic before any factoring happens; the
+factorization of k then upgrades the theoretical sign to a verified one.
 
 sign_change_report counts both signs of lambda(n^2 + d) over a range of n
 exactly, with a block sieve over the progressions of n on which a prime power
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING
 
@@ -45,13 +45,12 @@ from .factor import (
     liouville,
     merge_factorizations,
     primerange,
-    squarefree_core,
 )
 
 # construct and pell are imported where a certificate or a Pell solution is
 # built, so that the sign sieve loads neither
 if TYPE_CHECKING:
-    from .verify import GeneralizedSolution, MCertificate, PrimePairCertificate
+    from .verify import MCertificate, PrimePairCertificate
 
 # n values per block of the sign sieve
 _SIEVE_BLOCK = 1 << 16
@@ -121,7 +120,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class WitnessPlan:
-    """Shape analysis of d: core, scale, strategy branch, and any certificate.
+    """Shape analysis of d: factorization, core, scale, strategy branch, and any certificate.
 
     The certificate is built on first read, so a sign whose recipe does not
     use it never pays for its construction. One that runs past a cap reads
@@ -129,6 +128,7 @@ class WitnessPlan:
     """
 
     d: int
+    factorization: Factorization
     core: int
     scale: int
     branch: str
@@ -176,14 +176,18 @@ class SignChangeReport:
 
 @lru_cache(maxsize=256)
 def plan(d: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> WitnessPlan:
-    """The witness strategy for d, one object per (d, cap): its certificate is built once."""
+    """The witness strategy for d, one object per (d, cap): d is factored once,
+    and its certificate is built once."""
     if d == 0:
         raise InvalidInputError("d must be nonzero")
-    core, scale = squarefree_core(d)
+    fact = factorize(d)
+    core, scale = fact.squarefree_split
+    # the primes of d0: none, one (a prime core), or more, with lambda(d0) = (-1)^odd
+    odd = sum(e % 2 for _, e in fact.factors)
     d0 = abs(core)
-    if d0 == 1:
+    if odd == 0:
         branch = BRANCH_SQUARE_CORE
-    elif is_prime(d0):
+    elif odd == 1:
         if core > 0:
             branch = BRANCH_PRIME_PLUS
         elif d0 == 2 or d0 % 4 == 1:
@@ -191,10 +195,10 @@ def plan(d: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> WitnessPlan:
         else:
             branch = BRANCH_PRIME_MINUS_3MOD4
     elif core > 0:
-        branch = BRANCH_COMPOSITE_DIRECT if liouville(d0) == -1 else BRANCH_COMPOSITE_CERT_PLUS
+        branch = BRANCH_COMPOSITE_DIRECT if odd % 2 else BRANCH_COMPOSITE_CERT_PLUS
     else:
         branch = BRANCH_COMPOSITE_CERT_MINUS
-    return WitnessPlan(d, core, scale, branch, cap)
+    return WitnessPlan(d, fact, core, scale, branch, cap)
 
 
 # branch -> builder of its certificate from (the construct module, |core|, cap)
@@ -203,35 +207,6 @@ _CERTIFICATE_BUILDERS = {
     BRANCH_COMPOSITE_CERT_PLUS: lambda c, d0, cap: c.construct_M(d0, 1, cap),
     BRANCH_COMPOSITE_CERT_MINUS: lambda c, d0, cap: c.construct_M(d0, -1, cap),
 }
-
-
-def _solution_stream(first: GeneralizedSolution):
-    """first, then its composition with the fundamental solution, forever."""
-    from .pell import fundamental_solution, iterate_solution
-
-    fund = fundamental_solution(first.a * first.b)
-    sol = first
-    while True:
-        yield sol
-        sol = iterate_solution(sol, fund)
-
-
-def _squared(fact: Factorization) -> Factorization:
-    return Factorization(1, tuple((p, 2 * e) for p, e in fact.factors))
-
-
-def _pell_identity(d0: int, eps: int) -> tuple[GeneralizedSolution, tuple[int, ...]]:
-    """Least solution of x^2 - d0 y^2 = eps, and the primes of d0."""
-    from .pell import fundamental_solution
-    from .verify import GeneralizedSolution
-
-    fund = fundamental_solution(d0)
-    xy = (fund.t, fund.u) if eps == 1 else fund.neg_solution
-    if xy is None:
-        raise InternalInvariantError(
-            f"negative Pell equation unexpectedly insoluble for D = {d0}"
-        )
-    return GeneralizedSolution(1, d0, eps, *xy), tuple(p for p, _ in factorize(d0).factors)
 
 
 # (branch, sign) -> (eps, provenance): the first solution is the least one
@@ -251,32 +226,46 @@ _RECIPES = {
 
 
 def _constructive_stream(witness_plan: WitnessPlan, want: int):
-    """Yield (n, value, known, k) with n^2 + d = known.value * k^2 exactly.
+    """Yield (w, known, k): an unverified witness w, with n^2 + d = known.value * k^2 exactly.
 
-    `known` is the fully factored square-free-by-construction part, already
-    including the scale lift; `k` is the growing Pell coordinate. Returns None
-    when the branch has no construction for the sign, or when it runs past a cap.
+    The points form one unit orbit. The seed (x, y) solves a x^2 - b y^2 = eps,
+    D = a b, with d0 = |core| one of a, b: the least solution of x^2 - d0 y^2
+    = eps, or the certificate's evidence. With l its coordinate on d0's side
+    and k the other, N = d0 l and n = scale * N give n^2 + d = |d| (D / d0) k^2,
+    and the unit (t, u) of D steps (N, k) to (t N + D u k, u N + t k). Yields
+    nothing when the branch has no construction for the sign, or runs past a cap.
     """
     recipe = _RECIPES.get((witness_plan.branch, want))
     if recipe is None:
-        return None
+        return
     eps, provenance = recipe
-    d = witness_plan.d
-    d0 = abs(witness_plan.core)
-    scale = witness_plan.scale
+    d, scale, d0 = witness_plan.d, witness_plan.scale, abs(witness_plan.core)
+    from .pell import fundamental_solution
+
     if eps is None:
-        if witness_plan.certificate is None:
-            return None
-        first, primes = witness_plan.certificate.identity
+        certificate = witness_plan.certificate
+        if certificate is None:
+            return
+        seed, primes = certificate.identity
+        D = seed.a * seed.b
+        l, k = (seed.x, seed.y) if seed.a == d0 else (seed.y, seed.x)
+        unit = fundamental_solution(D)
     else:
         try:
-            first, primes = _pell_identity(d0, eps)
+            unit = fundamental_solution(d0)
         except SearchExhaustedError:
-            return None
+            return
+        xy = (unit.t, unit.u) if eps == 1 else unit.neg_solution
+        if xy is None:
+            raise InternalInvariantError(
+                f"negative Pell equation unexpectedly insoluble for D = {d0}"
+            )
+        (k, l), D, primes = xy, d0, ()
 
-    known = merge_factorizations(
-        [Factorization(1, tuple((q, 1) for q in primes)), _squared(factorize(scale))]
-    )
+    known = merge_factorizations([
+        Factorization(1, witness_plan.factorization.factors),
+        Factorization(1, tuple((q, 1) for q in primes if d0 % q)),
+    ])
     if known.liouville != want:
         raise InternalInvariantError(
             f"constructive branch {witness_plan.branch} would produce lambda = "
@@ -284,21 +273,17 @@ def _constructive_stream(witness_plan: WitnessPlan, want: int):
         )
     if scale > 1:
         provenance = PROV_SCALED
-    # n = d0 l, where l is the coordinate on d0's side of a x^2 - b y^2 = eps
-    d0_on_x = first.a == d0
 
-    def generate():
-        for sol in _solution_stream(first):
-            l, k = (sol.x, sol.y) if d0_on_x else (sol.y, sol.x)
-            n = d0 * l * scale
-            value = known.value * k * k
-            if value != n * n + d:
-                raise InternalInvariantError(
-                    f"identity n^2 + d = (known) k^2 fails at n = {n} for d = {d}"
-                )
-            yield n, value, known, k, provenance
-
-    return generate()
+    N, t, u, m = d0 * l, unit.t, unit.u, known.value
+    while True:
+        n = scale * N
+        value = m * k * k
+        if value != n * n + d:
+            raise InternalInvariantError(
+                f"identity n^2 + d = (known) k^2 fails at n = {n} for d = {d}"
+            )
+        yield Witness(d, n, value, None, want, provenance, False), known, k
+        N, k = t * N + D * u * k, u * N + t * k
 
 
 def _peeled_factorization(k: int, primes: set[int], budget: int | None) -> Factorization:
@@ -319,37 +304,28 @@ def _peeled_factorization(k: int, primes: set[int], budget: int | None) -> Facto
 
 
 def _verify_constructive(
-    d: int,
-    n: int,
-    value: int,
-    known: Factorization,
-    k: int,
-    provenance: str,
-    budget: int | None,
-    primes: set[int],
+    w: Witness, known: Factorization, k: int, budget: int | None, primes: set[int]
 ) -> Witness:
-    """Upgrade a theoretical witness by factoring k, or flag it unverified.
+    """Upgrade a theoretical witness by factoring k, or return it unverified.
 
     `primes` holds the primes of the coordinates the request has factored so
     far: they are peeled off k before rho gets a share of the budget, and the
     primes of k join them once k is factored.
     """
     if budget is not None and k.bit_length() > FACTOR_ATTEMPT_BIT_BOUND:
-        return Witness(d, n, value, None, known.liouville, provenance, False)
+        return w
     share = None if budget is None else budget // _COORDINATE_BUDGET_SHARE
     try:
         k_fact = _peeled_factorization(k, primes, share)
     except FactorBudgetExceededError:
-        return Witness(d, n, value, None, known.liouville, provenance, False)
+        return w
     primes.update(p for p, _ in k_fact.factors)
-    full = merge_factorizations([known, _squared(k_fact)])
-    if full.value != value:
-        raise InternalInvariantError(f"factorization of {value} is inconsistent")
-    if full.liouville != known.liouville:
-        raise InternalInvariantError(
-            f"lambda({value}) = {full.liouville} contradicts the construction"
-        )
-    return Witness(d, n, value, full, full.liouville, provenance, True)
+    k_squared = Factorization(1, tuple((p, 2 * e) for p, e in k_fact.factors))
+    full = merge_factorizations([known, k_squared])
+    # k's exponents are doubled, so lambda(full) = lambda(known) needs no check
+    if full.value != w.value:
+        raise InternalInvariantError(f"factorization of {w.value} is inconsistent")
+    return replace(w, factorization=full, verified=True)
 
 
 def _witness_stream(
@@ -360,8 +336,7 @@ def _witness_stream(
     budget: int,
     scan_bound: int,
 ) -> list[Witness]:
-    if d == 0:
-        raise InvalidInputError("d must be nonzero")
+    # plan(d, cap) refuses d = 0
     if count < 1:
         raise InvalidInputError(f"count must be positive, got {count}")
     if want not in (1, -1):
@@ -371,24 +346,22 @@ def _witness_stream(
     emitted: set[int] = set()
     verified = 0
 
-    stream = _constructive_stream(witness_plan, want)
-    if stream is not None:
-        consecutive_unverified = 0
-        # primes of the coordinates factored so far
-        k_primes: set[int] = set()
-        for n, value, known, k, provenance in stream:
-            if verified >= count:
+    consecutive_unverified = 0
+    # primes of the coordinates factored so far
+    k_primes: set[int] = set()
+    for theoretical, known, k in _constructive_stream(witness_plan, want):
+        if verified >= count:
+            break
+        w = _verify_constructive(theoretical, known, k, budget, k_primes)
+        out.append(w)
+        emitted.add(w.n)
+        if w.verified:
+            verified += 1
+            consecutive_unverified = 0
+        else:
+            consecutive_unverified += 1
+            if consecutive_unverified >= 2:
                 break
-            w = _verify_constructive(d, n, value, known, k, provenance, budget, k_primes)
-            out.append(w)
-            emitted.add(n)
-            if w.verified:
-                verified += 1
-                consecutive_unverified = 0
-            else:
-                consecutive_unverified += 1
-                if consecutive_unverified >= 2:
-                    break
 
     if verified < count:
         first = _first_positive(d)

@@ -687,6 +687,31 @@ def test_verify_rejects_a_forged_genus_table_at_once(tmp_path, name):
     assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("e1", 31.9),
+        ("d", 6.5),
+        ("e2", 11.0),
+        ("t", True),
+        ("d_primes", "32"),
+        ("M", " 1705 "),
+        ("M", "17_05"),
+    ],
+)
+def test_verify_rejects_a_field_of_the_wrong_json_type(tmp_path, field, value):
+    # int(), tuple() and bool() would read each of these as the true field
+    # of the d = 6 certificate, so the document would pass
+    path = Path(_write_certificate(tmp_path / "cert.json"))
+    doc = json.loads(path.read_text())
+    bare = tuple if field == "d_primes" else int
+    assert bare(value) == bare(doc[field])
+    path.write_text(json.dumps({**doc, field: value}))
+    run = _fresh_python("-m", "liouwit.cli", "verify", str(path))
+    assert run.returncode == EXIT_INVALID_INPUT, run.stdout
+    assert run.stderr.startswith("error: malformed certificate document: ")
+
+
 def test_package_exports_its_table():
     # names bind on first access; submodules still import as attributes
     probe = (
@@ -696,7 +721,7 @@ def test_package_exports_its_table():
         "star = {}\n"
         "exec('from liouwit import *', star)\n"
         "del star['__builtins__']\n"
-        "assert len(liouwit.__all__) == len(set(liouwit.__all__)) == 69\n"
+        "assert len(liouwit.__all__) == len(set(liouwit.__all__)) == 68\n"
         "assert sorted(star) == sorted(liouwit.__all__)\n"
         "assert all(getattr(liouwit, name) is star[name] for name in liouwit.__all__)\n"
         "try:\n"

@@ -13,7 +13,6 @@ from liouwit import (
     cf_sqrt,
     fundamental_solution,
     integer_sqrt,
-    iterate_solution,
     principal_class_ambiguous,
     solve_generalized,
     unit_norm,
@@ -152,19 +151,6 @@ def test_generalized_solution_check():
     assert GeneralizedSolution(3, 2, 1, 1, 1).check()
     assert not GeneralizedSolution(3, 2, 1, 2, 1).check()
     assert not GeneralizedSolution(5, 3, 2, 2, 1).check()  # xy even
-
-
-def test_iterate_solution():
-    fund = fundamental_solution(2)
-    sol = GeneralizedSolution(1, 2, 1, 3, 2)
-    nxt = iterate_solution(sol, fund)
-    assert (nxt.x, nxt.y) == (17, 12)
-    again = iterate_solution(nxt, fund)
-    assert (again.x, again.y) == (99, 70)
-    with pytest.raises(InvalidInputError):
-        iterate_solution(GeneralizedSolution(5, 3, 2, 1, 1), fundamental_solution(15))
-    with pytest.raises(InvalidInputError):
-        iterate_solution(sol, fundamental_solution(3))
 
 
 def test_principal_class_ambiguous_pinned():

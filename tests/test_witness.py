@@ -460,3 +460,65 @@ def test_constructive_identity_before_factoring():
     assert rem == 0
     k = factorize(k_sq)
     assert all(e % 2 == 0 for _, e in k.factors)
+
+
+# n of the first four points of each constructive stream; n^2 + d is the value
+ORBIT_PINS = {
+    (6, 1): ("direct_pell", [12, 120, 1188, 11760]),
+    (-5, -1): ("negative_pell", [5, 85, 1525, 27365]),
+    (6, -1): ("certificate", [708, 236598732, 79066091061588, 26422148178542755932]),
+    (-6, -1): (
+        "certificate",
+        [
+            9078303164666103024,
+            498795797687913781016171535042610411221210491936584356144,
+            27405699421833848283235883965851787660399160796823303794207888928719735961629888948871800567984,
+            1505771227988240941968281740092974058420098161421234421535480539555206801632695539366061436046881473268016759895449136726407819877744,
+        ],
+    ),
+    (-3, -1): ("prime_pair", [1512, 4608861768, 14048686352598408, 42823065253122332419752]),
+    (54, -1): ("scaled", [2124, 709796196, 237198273184764, 79266444535628267796]),
+    (-24, -1): (
+        "scaled",
+        [
+            18156606329332206048,
+            997591595375827562032343070085220822442420983873168712288,
+            54811398843667696566471767931703575320798321593646607588415777857439471923259777897743601135968,
+            3011542455976481883936563480185948116840196322842468843070961079110413603265391078732122872093762946536033519790898273452815639755488,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("d, want", sorted(ORBIT_PINS))
+def test_constructive_stream_orbit_pins(d, want):
+    provenance, ns = ORBIT_PINS[d, want]
+    points = []
+    for w, known, k in witness._constructive_stream(plan(d), want):
+        assert (w.provenance, w.verified, w.lambda_value) == (provenance, False, want)
+        assert w.value == known.value * k * k
+        points.append((w.n, w.value))
+        if len(points) == 4:
+            break
+    assert points == [(n, n * n + d) for n in ns]
+
+
+def test_plan_and_stream_factor_d_once(monkeypatch):
+    # the plan keeps the factorization of d; neither its branch nor the
+    # stream's known part factors d, its core or its scale again
+    d, calls = 10**40 + 1, []
+    real = factor.factorize
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(factor, "factorize", counting)
+    monkeypatch.setattr(witness, "factorize", counting)
+    plan.cache_clear()
+    plan(d)
+    assert calls == [d]
+    plan.cache_clear()
+    calls.clear()
+    assert [w.provenance for w in plus_witnesses(d, 1)] == ["direct_pell"]
+    assert calls.count(d) == 1
