@@ -2,13 +2,15 @@
 and prime ranges.
 
 One bytearray sieve (primerange) supplies every prime: the primes below 10^6
-that factorize trial-divides by, sieved only as far as the inputs so far have
-needed, and the ranges the sign sieve divides out.
+that factorize trial-divides by, kept in one typed array that grows in windows
+of 2^16 numbers only as far as the inputs so far have needed, and the ranges
+the sign sieve divides out.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -17,6 +19,9 @@ from .errors import FactorBudgetExceededError, InvalidInputError
 
 # factorize trial-divides by every prime below this
 _TRIAL_LIMIT = 10**6
+
+# numbers sieved per primerange call when the trial primes grow
+_TRIAL_WINDOW = 2**16
 
 # Iterations of the rho inner loop before giving up; deterministic, not wall-clock.
 DEFAULT_FACTOR_BUDGET = 4_000_000
@@ -42,14 +47,16 @@ class _TrialPrimes:
     """The primes below `bound`, extended on demand up to _TRIAL_LIMIT."""
 
     def __init__(self) -> None:
-        self.bound, self.primes = 2, []
+        self.bound, self.primes = 2, array("I")
 
-    def below(self, limit: int) -> list[int]:
-        """A list that holds every prime below min(limit, _TRIAL_LIMIT)."""
+    def below(self, limit: int) -> array:
+        """An array('I') that holds every prime below min(limit, _TRIAL_LIMIT)."""
         if limit > self.bound and self.bound < _TRIAL_LIMIT:
-            # at least doubling keeps the sieve calls logarithmic in number
+            # at least doubling keeps the growths logarithmic in number; a window
+            # at a time, no list of more than its primes is ever held
             hi = min(_TRIAL_LIMIT, max(limit, 2 * self.bound))
-            self.primes += primerange(self.bound, hi)
+            for lo in range(self.bound, hi, _TRIAL_WINDOW):
+                self.primes.extend(primerange(lo, min(lo + _TRIAL_WINDOW, hi)))
             self.bound = hi
         return self.primes
 

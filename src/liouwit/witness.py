@@ -333,12 +333,16 @@ def _witness_stream(
     want: int,
     count: int,
     cap: int,
-    budget: int,
+    budget: int | None,
     scan_bound: int,
 ) -> list[Witness]:
     # plan(d, cap) refuses d = 0
     if count < 1:
         raise InvalidInputError(f"count must be positive, got {count}")
+    if budget is not None and budget < 0:
+        raise InvalidInputError(f"budget must be non-negative, got {budget}")
+    if scan_bound < 0:
+        raise InvalidInputError(f"scan bound must be non-negative, got {scan_bound}")
     if want not in (1, -1):
         raise InvalidInputError(f"sign must be +1 or -1, got {want}")
     witness_plan = plan(d, cap)
@@ -369,10 +373,15 @@ def _witness_stream(
             if n in emitted:
                 continue
             value = n * n + d
-            try:
-                fact = factorize(value, budget=budget)
-            except FactorBudgetExceededError:
-                continue
+            if n == 0 and (budget is None or budget >= DEFAULT_FACTOR_BUDGET):
+                # plan factored d under the default budget, and rho is
+                # deterministic, so a budget at least as large gives the same
+                fact = witness_plan.factorization
+            else:
+                try:
+                    fact = factorize(value, budget=budget)
+                except FactorBudgetExceededError:
+                    continue
             if fact.liouville != want:
                 continue
             out.append(Witness(d, n, value, fact, want, PROV_BRUTE, True))

@@ -485,6 +485,14 @@ def test_witness_falls_through_to_the_brute_scan_past_the_period_cap(d, brute_n,
     assert brute[0] == brute_n
 
 
+@pytest.mark.parametrize("option", ["--budget", "--scan-bound"])
+def test_witness_refuses_a_negative_budget_or_scan_bound(option):
+    run = _fresh_python("-m", "liouwit.cli", "witness", "4", option, "-1", "--count", "2")
+    assert run.returncode == EXIT_INVALID_INPUT, run.stderr
+    assert "must be non-negative" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize("sign, n", [("1", 10**15 + 2), ("-1", 10**15 + 1)])
 def test_witness_scan_starts_at_the_first_positive_value(sign, n):
     # every n <= 10^7 gives n^2 + d < 0 here; the scan counts from

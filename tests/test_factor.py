@@ -1,5 +1,7 @@
 """Unit tests for factorization, the Liouville function, and square-free cores."""
 
+import tracemalloc
+
 import pytest
 
 from liouwit import (
@@ -28,9 +30,24 @@ def test_factorize_pinned():
 def test_factorize_sieves_trial_primes_only_as_far_as_needed(monkeypatch):
     monkeypatch.setattr(factor, "_trial_primes", factor._TrialPrimes())
     assert factorize(12) == Factorization(1, ((2, 2), (3, 1)))
-    assert factor._trial_primes.primes == [2, 3]
+    assert list(factor._trial_primes.primes) == [2, 3]
     assert factorize(1_000_003 * 999_983).factors == ((999_983, 1), (1_000_003, 1))
     assert len(factor._trial_primes.primes) == 78_498
+
+
+def test_trial_primes_grow_in_bounded_memory(monkeypatch):
+    # the 78,498 primes below 10^6 as a list of ints held about 3 MB and
+    # peaked near 4 MB while they were sieved in one call; a typed array
+    # grown one window at a time stays well under 1 MB
+    monkeypatch.setattr(factor, "_trial_primes", factor._TrialPrimes())
+    tracemalloc.start()
+    try:
+        assert factorize(1_000_003 * 999_983).factors == ((999_983, 1), (1_000_003, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(factor._trial_primes.primes) == 78_498
+    assert peak < 1_000_000
 
 
 def test_factorize_value_roundtrip():

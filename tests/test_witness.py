@@ -9,6 +9,7 @@ from liouwit import factor, witness
 from liouwit import (
     BRUTE_SCAN_BOUND,
     DEFAULT_FACTOR_BUDGET,
+    Factorization,
     InternalInvariantError,
     InvalidInputError,
     MCertificate,
@@ -522,3 +523,30 @@ def test_plan_and_stream_factor_d_once(monkeypatch):
     calls.clear()
     assert [w.provenance for w in plus_witnesses(d, 1)] == ["direct_pell"]
     assert calls.count(d) == 1
+
+
+def test_brute_scan_reads_the_plans_factorization_at_zero(monkeypatch):
+    # for d > 0 the scan starts at n = 0, where n^2 + d = d: plan(d) factored
+    # it under the default budget, so only a smaller budget factors it again
+    calls = []
+    real = factor.factorize
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(factor, "factorize", counting)
+    monkeypatch.setattr(witness, "factorize", counting)
+    at_zero = Witness(4, 0, 4, Factorization(1, ((2, 2),)), 1, "brute", True)
+    for request, budget, factored in [
+        (plus_witnesses, DEFAULT_FACTOR_BUDGET, 1),
+        (plus_witnesses, None, 1),
+        (minus_witnesses, DEFAULT_FACTOR_BUDGET, 1),
+        (plus_witnesses, 100, 2),
+    ]:
+        plan.cache_clear()
+        calls.clear()
+        found = request(4, 1, budget=budget)
+        assert calls.count(4) == factored
+        if request is plus_witnesses:
+            assert found == [at_zero]
