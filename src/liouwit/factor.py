@@ -161,6 +161,12 @@ def _factor_into(n: int, counts: dict[int, int], budget: _Budget, power: int) ->
     _factor_into(n // d, counts, budget, power)
 
 
+def check_budget(budget: int | None) -> None:
+    """Refuse a negative rho budget; None (unbounded) and 0 are valid."""
+    if budget is not None and budget < 0:
+        raise InvalidInputError(f"budget must be non-negative, got {budget}")
+
+
 def factorize(n: int, budget: int | None = DEFAULT_FACTOR_BUDGET) -> Factorization:
     """Complete prime factorization of n != 0.
 
@@ -168,6 +174,7 @@ def factorize(n: int, budget: int | None = DEFAULT_FACTOR_BUDGET) -> Factorizati
     independent); exceeding it raises FactorBudgetExceededError rather than
     returning a wrong answer. None means unbounded.
     """
+    check_budget(budget)
     if n == 0:
         raise InvalidInputError("0 has no prime factorization")
     sign = 1 if n > 0 else -1

@@ -41,6 +41,7 @@ from .factor import (
     BRUTE_SCAN_BOUND,
     DEFAULT_FACTOR_BUDGET,
     Factorization,
+    check_budget,
     factorize,
     liouville,
     merge_factorizations,
@@ -339,8 +340,9 @@ def _witness_stream(
     # plan(d, cap) refuses d = 0
     if count < 1:
         raise InvalidInputError(f"count must be positive, got {count}")
-    if budget is not None and budget < 0:
-        raise InvalidInputError(f"budget must be non-negative, got {budget}")
+    # checked here too: the scan may return the plan's factorization at n = 0
+    # without a factorize call that would see the budget
+    check_budget(budget)
     if scan_bound < 0:
         raise InvalidInputError(f"scan bound must be non-negative, got {scan_bound}")
     if want not in (1, -1):
@@ -373,15 +375,11 @@ def _witness_stream(
             if n in emitted:
                 continue
             value = n * n + d
-            if n == 0 and (budget is None or budget >= DEFAULT_FACTOR_BUDGET):
-                # plan factored d under the default budget, and rho is
-                # deterministic, so a budget at least as large gives the same
-                fact = witness_plan.factorization
-            else:
-                try:
-                    fact = factorize(value, budget=budget)
-                except FactorBudgetExceededError:
-                    continue
+            try:
+                # plan(d) already holds the factorization of 0^2 + d
+                fact = witness_plan.factorization if n == 0 else factorize(value, budget=budget)
+            except FactorBudgetExceededError:
+                continue
             if fact.liouville != want:
                 continue
             out.append(Witness(d, n, value, fact, want, PROV_BRUTE, True))

@@ -485,9 +485,19 @@ def test_witness_falls_through_to_the_brute_scan_past_the_period_cap(d, brute_n,
     assert brute[0] == brute_n
 
 
-@pytest.mark.parametrize("option", ["--budget", "--scan-bound"])
-def test_witness_refuses_a_negative_budget_or_scan_bound(option):
-    run = _fresh_python("-m", "liouwit.cli", "witness", "4", option, "-1", "--count", "2")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["witness", "4", "--budget", "-1", "--count", "2"],
+        # n = 0 gives this witness from the plan, with no factorize call
+        ["witness", "4", "--budget", "-1", "--count", "1", "--sign", "1"],
+        ["witness", "4", "--scan-bound", "-1", "--count", "2"],
+        ["lambda", "12", "--budget", "-1"],
+        ["lambda", str(10**39 + 1), "--budget", "-1"],
+    ],
+)
+def test_negative_budget_or_scan_bound_is_invalid_input(args):
+    run = _fresh_python("-m", "liouwit.cli", *args)
     assert run.returncode == EXIT_INVALID_INPUT, run.stderr
     assert "must be non-negative" in run.stderr
     assert "Traceback" not in run.stderr

@@ -25,6 +25,10 @@ def test_factorize_pinned():
     assert factorize(2**10) == Factorization(1, ((2, 10),))
     with pytest.raises(InvalidInputError):
         factorize(0)
+    # the budget is checked before trial division could answer without it
+    with pytest.raises(InvalidInputError, match="budget must be non-negative"):
+        factorize(12, budget=-1)
+    assert factorize(12, budget=0) == Factorization(1, ((2, 2), (3, 1)))
 
 
 def test_factorize_sieves_trial_primes_only_as_far_as_needed(monkeypatch):

@@ -526,8 +526,8 @@ def test_plan_and_stream_factor_d_once(monkeypatch):
 
 
 def test_brute_scan_reads_the_plans_factorization_at_zero(monkeypatch):
-    # for d > 0 the scan starts at n = 0, where n^2 + d = d: plan(d) factored
-    # it under the default budget, so only a smaller budget factors it again
+    # for d > 0 the scan starts at n = 0, where n^2 + d = d: plan(d) holds
+    # its factorization, whatever the request's budget
     calls = []
     real = factor.factorize
 
@@ -542,7 +542,7 @@ def test_brute_scan_reads_the_plans_factorization_at_zero(monkeypatch):
         (plus_witnesses, DEFAULT_FACTOR_BUDGET, 1),
         (plus_witnesses, None, 1),
         (minus_witnesses, DEFAULT_FACTOR_BUDGET, 1),
-        (plus_witnesses, 100, 2),
+        (plus_witnesses, 1, 1),
     ]:
         plan.cache_clear()
         calls.clear()
