@@ -207,6 +207,12 @@ def is_prime_small(n: int) -> bool:
     return True
 
 
+def check_cap(cap: int) -> None:
+    """Refuse a negative prime search cap; 0 is valid and admits no prime."""
+    if cap < 0:
+        raise InvalidInputError(f"cap must be non-negative, got {cap}")
+
+
 def next_prime_in_class(
     cls: ResidueClass,
     exclude: frozenset[int] | set[int] = frozenset(),
@@ -221,6 +227,7 @@ def next_prime_in_class(
     is strictly ascending from the least positive member of the class, so
     results are deterministic. Raises SearchExhaustedError past `cap`.
     """
+    check_cap(cap)
     if math.gcd(cls.residue, cls.modulus) != 1:
         raise ConstraintInfeasibleError(
             f"class {cls} has gcd({cls.residue}, {cls.modulus}) > 1; "

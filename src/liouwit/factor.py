@@ -146,10 +146,12 @@ def _rho_brent(n: int, budget: _Budget) -> int:
 
 
 def _factor_into(n: int, counts: dict[int, int], budget: _Budget, power: int) -> None:
-    """Accumulate the factorization of n (no factors below 10^6) into counts."""
-    if n == 1:
-        return
-    if is_prime(n):
+    """Accumulate the factorization of n > 1 into counts.
+
+    n has no prime factor below 10^6, or none up to its square root: so has
+    every factor rho splits off. Below 10^12 both mean that n is prime.
+    """
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n):
         counts[n] = counts.get(n, 0) + power
         return
     root, exact = integer_sqrt(n)
@@ -190,12 +192,7 @@ def factorize(n: int, budget: int | None = DEFAULT_FACTOR_BUDGET) -> Factorizati
                 e += 1
             counts[p] = e
     if m > 1:
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
-            # a survivor of full trial division below 10^6 that is under 10^12
-            # has no factor up to its square root, hence is prime
-            counts[m] = counts.get(m, 0) + 1
-        else:
-            _factor_into(m, counts, _Budget(budget), 1)
+        _factor_into(m, counts, _Budget(budget), 1)
     return Factorization(sign, tuple(sorted(counts.items())))
 
 

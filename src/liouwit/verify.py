@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import get_type_hints
 
 from .arith import delta_char, eta_char, integer_sqrt, is_prime, jacobi
@@ -414,10 +414,10 @@ def _run_clause(name: str, body) -> ClauseResult:
     return ClauseResult(name, True, note)
 
 
-# clause -> the clauses it rests on, by position in the clause list (0: the
-# structural gate, -1: the evidence). While one fails, the clause fails as
-# "depends on" it, unrun; a clause without a body then passes. genus_uniqueness
-# scans the candidates of D, so it waits for the gate to tie D to the primes.
+# clause -> the clauses it rests on: a position in the clause list (0: the
+# structural gate, -1: the evidence) or a name. While one fails, the clause
+# fails as "depends on" it, unrun; a clause without a body then passes. The
+# gate alone proves structure, and every clause but the evidence rests on it.
 #
 # unit_norm has no body: gate and evidence prove it. The gate shows a, b > 1
 # coprime and square-free with ab = D, the evidence a x^2 - b y^2 = 1 with
@@ -428,20 +428,32 @@ def _run_clause(name: str, body) -> ClauseResult:
 # 2. Were N(e) = -1, every unit of norm +1 above 1 would be e^(2j), so
 #    alpha = e^j would lie in Q(sqrt(D)).
 # 3. It does not: 1, sqrt(a), sqrt(b), sqrt(ab) are independent over Q, x != 0.
-_RESTS_ON = {"unit_norm": (0, -1), "genus_uniqueness": (0,)}
+#
+# consequences has no body: gate and symbol table prove (d/m_i) = 1, (d/e) = s
+# and (p/M) = 1. The symbol is multiplicative in both arguments, so each is the
+# product of one column or row of symbol_targets. With lambda_d = (-1)^r, s = -t
+# and t = -1 for odd r: column m_i holds two -1 entries; column e1 gives
+# (lambda_d s)^(r-1) = s, column e2 t (lambda_d t)^(r-2) (-1) = s; row p_1 gives
+# (-1)^(r-1) lambda_d s t = 1, a middle row -lambda_d^2 s t = 1, and row p_r
+# holds two -1 entries.
+_RESTS_ON = {
+    "symbol_table": (0,), "symbols": (0,), "lambda_flip": (0,), "genus_uniqueness": (0,),
+    "consequences": (0, "symbol_table"), "unit_norm": (0, -1),
+}
 
 
 def _run_clauses(subject: str, names: tuple[str, ...], bodies) -> VerificationReport:
-    results = {name: _run_clause(name, bodies[name]) for name in names if name not in _RESTS_ON}
-    for name, basis in _RESTS_ON.items():
-        failed = [names[i] for i in basis if not results[names[i]].passed]
+    @cache
+    def result(name: str) -> ClauseResult:
+        basis = (names[b] if isinstance(b, int) else b for b in _RESTS_ON.get(name, ()))
+        failed = [b for b in basis if not result(b).passed]
         if failed:
-            results[name] = ClauseResult(name, False, f"depends on {failed[0]}")
-        elif name in bodies:
-            results[name] = _run_clause(name, bodies[name])
-        else:
-            results[name] = ClauseResult(name, True)
-    return VerificationReport(subject, tuple(results[name] for name in names))
+            return ClauseResult(name, False, f"depends on {failed[0]}")
+        if name in bodies:
+            return _run_clause(name, bodies[name])
+        return ClauseResult(name, True)
+
+    return VerificationReport(subject, tuple(result(name) for name in names))
 
 
 def _clause_genus(cert: MCertificate | PrimePairCertificate) -> tuple[list[str], str]:
@@ -496,21 +508,24 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
 
     d itself is never factored: every clause reads the stored d_primes, which
     primality_congruence checks are at least two distinct primes in canonical
-    order with product d. Clauses, in order: primality and congruence classes;
-    the symbol table with its cross conditions; the derived symbol consequences;
-    the lambda flip; unit norm +1 for D, derived from primality_congruence and
-    pell_evidence; uniqueness of the predicted form among the split candidates
-    in the principal genus (_clause_genus); and the Pell evidence arithmetic. A clause
-    fails as "depends on X", unrun, while a clause X it rests on fails (_RESTS_ON).
+    order with product d. That gate alone proves structure, and runs is_prime
+    only once its cheap checks hold. Clauses, in order: primality and congruence
+    classes; the symbol table with its cross conditions; the symbol consequences,
+    derived from the gate and the table; the stored signs lambda_d and lambda_m;
+    unit norm +1 for D, derived from the gate and pell_evidence; uniqueness of
+    the predicted form among the split candidates in the principal genus
+    (_clause_genus); and the Pell evidence arithmetic. Every clause but the gate
+    and the evidence rests on the gate, and fails as "depends on X", unrun,
+    while a clause X it rests on fails (_RESTS_ON).
     """
 
     def clause_primality() -> list[str]:
         if cert.d < 2:
             return [f"d = {cert.d} is not a positive integer >= 2"]
         # checking the stored primes is as strong as factoring d, since the
-        # factorization is unique, and it costs no factoring of untrusted input
-        d_primes = cert.d_primes
-        problems = [f"{p} in d_primes is not prime" for p in d_primes if not is_prime(p)]
+        # factorization is unique, and it costs no factoring of untrusted input;
+        # is_prime, the one costly test, runs only once every cheap check holds
+        d_primes, problems = cert.d_primes, []
         canonical = tuple(sorted(p for p in d_primes if p != 2)) + (2,) * d_primes.count(2)
         if d_primes != canonical:
             problems.append(f"d_primes {d_primes} not odd primes ascending, then 2")
@@ -532,7 +547,7 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
         if len(set(constructed)) != len(constructed):
             problems.append(f"constructed primes not distinct: {constructed}")
         for q in constructed:
-            if q < 3 or q % 2 == 0 or not is_prime(q):
+            if q < 3 or q % 2 == 0:
                 problems.append(f"{q} is not an odd prime")
             if q in d_primes:
                 problems.append(f"{q} divides d")
@@ -548,15 +563,15 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
         expected_form = QuadForm(a, 0, -b)
         if cert.predicted_form != expected_form:
             problems.append(f"predicted form {cert.predicted_form} != {expected_form}")
+        if not problems:
+            problems += [f"{p} in d_primes is not prime" for p in d_primes if not is_prime(p)]
+            problems += [f"{q} is not an odd prime" for q in constructed if not is_prime(q)]
         return problems
 
     def clause_symbols() -> list[str]:
         problems, slot_value = [], cert.slots
         for tgt in symbol_targets(cert.d_primes, cert.t, (-1) ** len(cert.d_primes)):
-            bottom = slot_value.get(tgt.bottom_slot)
-            if bottom is None:
-                problems.append(f"missing prime for slot {tgt.bottom_slot}")
-                continue
+            bottom = slot_value[tgt.bottom_slot]
             actual = jacobi(tgt.top, bottom)
             if actual != tgt.target:
                 marker = " [implied]" if tgt.implied else ""
@@ -577,47 +592,20 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
             problems.append(f"(e2/e1) = {jacobi(cert.e2, cert.e1)}, want -1")
         return problems
 
-    def clause_consequences() -> list[str]:
-        problems = []
-        s = -cert.t
-        for i, m_i in enumerate(cert.m_primes, start=1):
-            if jacobi(cert.d, m_i) != 1:
-                problems.append(f"(d/m{i}) != 1")
-        for label, e in (("e1", cert.e1), ("e2", cert.e2)):
-            if jacobi(cert.d, e) != s:
-                problems.append(f"(d/{label}) = {jacobi(cert.d, e)}, want s = {s}")
-        for p in cert.d_primes:
-            if jacobi(p, cert.M) != 1:
-                problems.append(f"({p}/M) = {jacobi(p, cert.M)}, want 1")
-        return problems
-
     def clause_lambda() -> list[str]:
-        problems = []
-        # lambda(d) itself once primality_congruence has tied d_primes to d
-        true_lambda_d = (-1) ** len(cert.d_primes)
-        if cert.lambda_d != true_lambda_d:
-            problems.append(
-                f"lambda_d = {cert.lambda_d}, but the {len(cert.d_primes)} "
-                f"d_primes give {true_lambda_d}"
-            )
-        constructed = cert.m_primes + (cert.e1, cert.e2)
-        if cert.M != math.prod(constructed) or len(set(constructed)) != len(constructed):
-            problems.append("M is not a product of the distinct constructed primes")
-        elif not all(is_prime(q) for q in constructed):
-            problems.append("a constructed factor of M is composite")
-        else:
-            true_lambda_m = (-1) ** len(constructed)
-            if cert.lambda_m != true_lambda_m:
-                problems.append(f"lambda_m = {cert.lambda_m}, but lambda(M) = {true_lambda_m}")
-            if true_lambda_m != -true_lambda_d:
-                problems.append("lambda(M) fails to flip lambda(d)")
+        # the gate found r + 1 constructed primes for the r primes of d, so M flips d
+        r = len(cert.d_primes)
+        lambda_d, problems = (-1) ** r, []
+        if cert.lambda_d != lambda_d:
+            problems.append(f"lambda_d = {cert.lambda_d}, but the {r} d_primes give {lambda_d}")
+        if cert.lambda_m != -lambda_d:
+            problems.append(f"lambda_m = {cert.lambda_m}, but lambda(M) = {-lambda_d}")
         return problems
 
     expected_ab = _split_sides(cert.d, cert.M, cert.t)
     bodies = {
         "primality_congruence": clause_primality,
         "symbol_table": clause_symbols,
-        "consequences": clause_consequences,
         "lambda_flip": clause_lambda,
         "genus_uniqueness": lambda: _clause_genus(cert),
         "pell_evidence": lambda: _clause_evidence(cert.pell_evidence, expected_ab),
@@ -628,18 +616,15 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
 def verify_prime_pair(cert: PrimePairCertificate) -> VerificationReport:
     """Re-derive every property of a PrimePairCertificate from scratch.
 
-    unit_norm is derived from structure and evidence without a continued
-    fraction; a clause fails as "depends on X" while X fails (_RESTS_ON).
+    structure alone proves structure, and runs is_prime only once its cheap
+    checks hold; symbols and genus_uniqueness rest on it, and unit_norm is
+    derived from structure and evidence without a continued fraction. A clause
+    fails as "depends on X", unrun, while a clause X it rests on fails (_RESTS_ON).
     """
 
     def clause_structure() -> list[str]:
-        problems = []
-        if not is_prime(cert.p) or cert.p % 4 != 3:
-            problems.append(f"p = {cert.p} is not a prime 3 mod 4")
-        if not is_prime(cert.e1) or cert.e1 % 4 != 3:
-            problems.append(f"e1 = {cert.e1} is not a prime 3 mod 4")
-        if not is_prime(cert.e2) or cert.e2 % 4 != 1:
-            problems.append(f"e2 = {cert.e2} is not a prime 1 mod 4")
+        primes = (("p", cert.p, 3), ("e1", cert.e1, 3), ("e2", cert.e2, 1))
+        problems = [f"{n} = {q} is not a prime {c} mod 4" for n, q, c in primes if q % 4 != c]
         if len({cert.p, cert.e1, cert.e2, 2}) != 4:
             problems.append("p, e1, e2 must be distinct odd primes")
         if cert.m != cert.e1 * cert.e2:
@@ -648,6 +633,9 @@ def verify_prime_pair(cert: PrimePairCertificate) -> VerificationReport:
             problems.append(f"D = {cert.D} != p*m = {cert.p * cert.m}")
         if cert.predicted_form != QuadForm(cert.p, 0, -cert.m):
             problems.append(f"predicted form {cert.predicted_form} is not (p, 0, -m)")
+        if not problems:  # is_prime, the one costly test, last
+            problems += [f"{n} = {q} is not a prime {c} mod 4" for n, q, c in primes
+                         if not is_prime(q)]
         return problems
 
     def clause_symbols() -> list[str]:

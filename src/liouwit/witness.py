@@ -30,7 +30,9 @@ from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 # sqrt_mod is bound, unused, because bench/tracer.py wraps it and primerange here by name
-from .arith import DEFAULT_PRIME_SEARCH_CAP, is_prime, sqrt_mod, square_roots  # noqa: F401
+from .arith import (  # noqa: F401
+    DEFAULT_PRIME_SEARCH_CAP, check_cap, is_prime, sqrt_mod, square_roots,
+)
 from .errors import (
     FactorBudgetExceededError,
     InternalInvariantError,
@@ -181,6 +183,8 @@ def plan(d: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> WitnessPlan:
     and its certificate is built once."""
     if d == 0:
         raise InvalidInputError("d must be nonzero")
+    # checked here too: a Pell recipe never reaches the prime search
+    check_cap(cap)
     fact = factorize(d)
     core, scale = fact.squarefree_split
     # the primes of d0: none, one (a prime core), or more, with lambda(d0) = (-1)^odd

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -149,6 +150,24 @@ def test_verify_does_not_factor_untrusted_d(tmp_path, capsys):
     assert main(["verify", str(path)]) == EXIT_VERIFICATION_FAILURE
     assert time.monotonic() - start < 2
     assert "primality_congruence" in capsys.readouterr().err
+
+
+def test_verify_tests_primality_after_the_cheap_checks(tmp_path, capsys):
+    code, env = run_json(capsys, ["construct-m", "6", "--t", "1"])
+    doc = env["result"]
+    # 4,275 digits, odd, no prime factor below 100: one is_prime call on it
+    # costs about 6 s, and the product check refuses it at once
+    doc["d_primes"][1] = str(10**4274 + 1)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run = _fresh_python("-m", "liouwit.cli", "verify", str(path))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert run.returncode == EXIT_VERIFICATION_FAILURE, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "is not the product of d_primes" in run.stderr
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert cpu < 1.5
 
 
 def test_import_does_not_load_sympy():
@@ -494,6 +513,11 @@ def test_witness_falls_through_to_the_brute_scan_past_the_period_cap(d, brute_n,
         ["witness", "4", "--scan-bound", "-1", "--count", "2"],
         ["lambda", "12", "--budget", "-1"],
         ["lambda", str(10**39 + 1), "--budget", "-1"],
+        ["construct-m", "6", "--t", "1", "--cap", "-1"],
+        # the certificate search failed silently here, and the brute scan answered
+        ["witness", "6", "--cap", "-5", "--sign", "-1"],
+        # a Pell recipe (direct_pell here) never reaches the prime search
+        ["witness", "7", "--cap", "-1", "--sign", "-1"],
     ],
 )
 def test_negative_budget_or_scan_bound_is_invalid_input(args):

@@ -89,6 +89,22 @@ def test_symbol_targets_d15_both_signs():
     ]
 
 
+@pytest.mark.parametrize("r", range(2, 13))
+def test_symbol_targets_multiply_to_the_consequences(r):
+    # the verifier derives (d/m_i) = 1, (d/e) = s and (p/M) = 1 from the table:
+    # each is the product of one column or one row of the targets
+    odd = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for d_primes in (odd[:r], odd[: r - 1] + (2,)):
+        for t in (1, -1) if r % 2 == 0 else (-1,):
+            columns, rows = {}, {}
+            for tgt in symbol_targets(d_primes, t, (-1) ** r):
+                columns[tgt.bottom_slot] = columns.get(tgt.bottom_slot, 1) * tgt.target
+                rows[tgt.top] = rows.get(tgt.top, 1) * tgt.target
+            s = -t
+            assert columns == {**{f"m{i}": 1 for i in range(1, r)}, "e1": s, "e2": s}
+            assert rows == dict.fromkeys(d_primes, 1)
+
+
 def test_symbol_targets_rejects():
     with pytest.raises(InvalidInputError):
         symbol_targets((3,), 1, -1)  # r < 2
@@ -299,9 +315,10 @@ M_TAMPER_CASES = [
 
 
 def assert_gated(report, clause):
-    """With the structural clause failed, the costly clauses are not run."""
+    """With the structural clause failed, no clause but the evidence is run."""
     details = {c.name: c.detail for c in report.clauses}
-    for name in ("unit_norm", "genus_uniqueness"):
+    names = tuple(details)
+    for name in names[1:-1]:
         assert details[name] == f"depends on {clause}"
         assert name in report.failures
 
@@ -333,12 +350,17 @@ def test_verify_certificate_checks_stored_d_primes(d_primes):
 
 
 def test_lambda_flip_names_d_primes_not_lambda_d():
-    # d_primes = (6,) gives -1, but lambda(6) = 1: the detail must not claim
-    # the stored list's parity as the true lambda(d)
+    # d_primes = (6,) gives -1, but lambda(6) = 1: the gate refuses the list,
+    # and lambda_flip does not read its parity as the true lambda(d)
     report = verify_certificate(replace(construct_M(6, 1), d_primes=(6,)))
     detail = {c.name: c.detail for c in report.clauses}["lambda_flip"]
-    assert detail.startswith("lambda_d = 1, but the 1 d_primes give -1")
+    assert detail == "depends on primality_congruence"
     assert "lambda(6)" not in report.summary()
+    # once the gate holds, the detail names the d_primes it counted
+    report = verify_certificate(replace(construct_M(6, 1), lambda_d=-1))
+    assert report.failures == ("lambda_flip",)
+    detail = {c.name: c.detail for c in report.clauses}["lambda_flip"]
+    assert detail == "lambda_d = -1, but the 2 d_primes give 1"
 
 
 def test_verify_certificate_tampered_symbols():
@@ -356,6 +378,8 @@ def test_verify_certificate_tampered_symbols():
     report = verify_certificate(tampered)
     assert "primality_congruence" not in report.failures
     assert "symbol_table" in report.failures
+    details = {c.name: c.detail for c in report.clauses}
+    assert details["consequences"] == "depends on symbol_table"
 
 
 def test_with_checks():

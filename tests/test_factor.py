@@ -9,6 +9,7 @@ from liouwit import (
     Factorization,
     InvalidInputError,
     factorize,
+    is_prime,
     liouville,
     merge_factorizations,
     squarefree_core,
@@ -65,6 +66,24 @@ def test_factorize_semiprime_beyond_trial_division():
     p, q = 1000003, 1000033
     fact = factorize(p * q)
     assert fact.factors == ((p, 1), (q, 1))
+
+
+def test_factorize_tests_each_residual_for_primality_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(factor, "is_prime", counting_is_prime)
+    p, q = 1000003, 1000033
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    # only the composite above 10^12 is tested; rho's factors lie below it
+    # and have no factor below 10^6, so each is prime without a test
+    assert calls == [p * q]
+    calls.clear()
+    assert factorize(p).factors == ((p, 1),)
+    assert calls == []
 
 
 def test_factorize_perfect_power_shortcut():
