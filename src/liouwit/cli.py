@@ -257,7 +257,8 @@ def cmd_verify(args) -> tuple[dict, str]:
             data = json.load(handle)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {args.path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax or encoding, a bare number past the int-to-str limit, or deep nesting
         raise InvalidInputError(f"malformed JSON in {args.path}: {exc}") from exc
     report = verify_document(data)
     if not report.passed:

@@ -2,8 +2,9 @@
 
 Given square-free composite d with prime list p_1, ..., p_r (2 placed last when
 d is even) and a sign t, primes are searched slot by slot so that a fixed table
-of Legendre symbols (p_j / slot) holds, together with the cross conditions
-(m_i / e_j) = 1, (m_i / m_j) = 1, (e1 / e2) = t and (e2 / e1) = -1.  The payoff
+of Legendre symbols (p_j / slot) holds, together with the symbols between the
+constructed primes that verify.slot_symbols lists: (m_i / e_j) = 1,
+(m_i / m_j) = 1, (e1 / e2) = t and (e2 / e1) = -1.  The payoff
 is a certificate asserting that (M, 0, -d) for t = 1, or (d, 0, -M) for t = -1,
 is the unique ambiguous split form of discriminant 4dM in the principal genus,
 witnessed by a solution of the corresponding Pell-type equation.  When
@@ -39,6 +40,7 @@ from .verify import (
     SymbolTarget,
     _split_sides,
     mod8_class,
+    slot_symbols,
     symbol_targets,
 )
 
@@ -79,11 +81,14 @@ def residue_constraints(
 ) -> ResidueConstraint:
     """Merge one slot's symbol conditions into a hard class plus filters.
 
-    `targets` carry conditions (top / slot) = target with fixed odd-prime top;
-    `direct_conditions` carry conditions jacobi(slot, modulus) = want used when
-    the slot sits on top (only (e2 / e1) = -1 arises this way).
+    `targets` carry conditions (top / slot) = target with fixed odd-prime top,
+    and implied ones (top = 2, pinned by the class mod 8) are skipped;
+    `direct_conditions` carry conditions jacobi(slot, modulus) = want, for
+    symbols with the slot on top. After reciprocity a symbol and its reverse
+    can give one condition twice, such as (e1 / e2) = t and (e2 / e1) = -1 on
+    e2: each condition is kept once.
     """
-    conditions = list(direct_conditions)
+    conditions = set(direct_conditions)
     for tgt in targets:
         if tgt.implied:
             continue
@@ -93,7 +98,7 @@ def residue_constraints(
         # the candidate prime q, whose class mod 4 is pinned: the symbols
         # (top / q), (q / top) differ exactly when top and q are both 3 mod 4
         flip = -1 if (tgt.top % 4 == 3 and mod8 % 4 == 3) else 1
-        conditions.append((tgt.top, tgt.target * flip))
+        conditions.add((tgt.top, tgt.target * flip))
     classes = [ResidueClass(mod8 % 8, 8)]
     filters: list[tuple[int, int]] = []
     for modulus, want in sorted(conditions):
@@ -114,95 +119,67 @@ def construct_M(
 
     Slots are filled in the fixed order m1, ..., m_{r-1}, e1, e2; each prime is
     the least one in its residue class satisfying all filters and avoiding the
-    primes of d and all previously chosen primes.  The result is deterministic,
-    so repeated calls are served from a cache.
+    primes of d and all previously chosen primes. A slot's conditions are its
+    column of symbol_targets and each slot_symbols entry whose other slot is
+    already filled. The result is deterministic, so repeated calls are served
+    from a cache.
     """
     if t not in (1, -1):
         raise InvalidInputError(f"t must be +1 or -1, got {t}")
-    d_primes = ordered_prime_list(d)
+    return _construct_M(d, ordered_prime_list(d), t, cap)
+
+
+def _construct_M(d: int, d_primes: tuple[int, ...], t: int, cap: int) -> MCertificate:
+    """construct_M for d whose primes, in ordered_prime_list's order, are known."""
     r = len(d_primes)
     lambda_d = (-1) ** r
     if lambda_d == -1 and t == 1:
         raise InvalidInputError(f"lambda({d}) = -1 forces t = -1; t = +1 is a contract violation")
-    s = -t
     targets = symbol_targets(d_primes, t, lambda_d)
+    cross = slot_symbols(r, t)
 
-    slots = [f"m{i}" for i in range(1, r)] + ["e1"]
     chosen: dict[str, int] = {}
     exclude = set(d_primes) | {2}
-    for slot in slots:
-        slot_targets = [tgt for tgt in targets if tgt.bottom_slot == slot and not tgt.implied]
-        # cross conditions against already fixed primes: (m_i / slot) = 1
-        for other, prime in chosen.items():
-            if other.startswith("m"):
-                slot_targets.append(SymbolTarget(prime, slot, 1))
-        constraint = residue_constraints(slot, mod8_class(slot, r, t), tuple(slot_targets), ())
-        prime = next_prime_in_class(
-            constraint.hard,
-            exclude=frozenset(exclude),
-            cap=cap,
-            filters=constraint.filters,
+    for slot in [f"m{i}" for i in range(1, r)] + ["e1", "e2"]:
+        slot_targets = [tgt for tgt in targets if tgt.bottom_slot == slot]
+        direct = []
+        for top, bottom, want in cross:
+            if bottom == slot and top in chosen:
+                slot_targets.append(SymbolTarget(chosen[top], slot, want))
+            elif top == slot and bottom in chosen:
+                direct.append((chosen[bottom], want))
+        constraint = residue_constraints(
+            slot, mod8_class(slot, r, t), tuple(slot_targets), tuple(direct)
         )
-        chosen[slot] = prime
-        exclude.add(prime)
-
-    m_primes = tuple(chosen[f"m{i}"] for i in range(1, r))
-    e1 = chosen["e1"]
-    lambda_m = (-1) ** (len(m_primes) + 2)
-    if lambda_m != -lambda_d:
-        raise InternalInvariantError(f"lambda(M) = {lambda_m} fails to flip lambda(d)")
-
-    # The residue system pins every genus character, but not which ambiguous
-    # class is principal; when d t = 3 mod 4 the principal class can land on a
-    # half form instead of the predicted split, leaving the predicted Pell
-    # equation insoluble. Successive admissible e2 re-roll that assignment, so
-    # scan e2 until the predicted equation has a solution.
-    e2_targets = [tgt for tgt in targets if tgt.bottom_slot == "e2" and not tgt.implied]
-    for prime in m_primes:
-        e2_targets.append(SymbolTarget(prime, "e2", 1))
-    e2_constraint = residue_constraints(
-        "e2", mod8_class("e2", r, t), tuple(e2_targets), ((e1, -1),)
-    )
-    evidence = None
-    for _ in range(_MAX_E2_ATTEMPTS):
-        e2 = next_prime_in_class(
-            e2_constraint.hard,
-            exclude=frozenset(exclude),
-            cap=cap,
-            filters=e2_constraint.filters,
-        )
-        exclude.add(e2)
-        M = math.prod(m_primes) * e1 * e2
-        D = d * M
-        a, b = _split_sides(d, M, t)
-        predicted = QuadForm(a, 0, -b)
-        evidence = solve_generalized(a, b, 1)
-        if evidence is not None:
-            break
-        if d % 2 == 0 or (d * t) % 4 != 3:
-            raise InternalInvariantError(
-                f"no solution of the predicted Pell equation for d={d}, t={t}, "
-                f"M={M}; outside the half-form regime the construction is unsound"
+        # The residue system pins every genus character, but not which ambiguous
+        # class is principal; when d t = 3 mod 4 the principal class can land on a
+        # half form, leaving the predicted Pell equation insoluble. Successive
+        # admissible e2 re-roll that assignment: e2 is retried until it is soluble.
+        for _ in range(_MAX_E2_ATTEMPTS):
+            chosen[slot] = next_prime_in_class(constraint.hard, exclude, cap, constraint.filters)
+            exclude.add(chosen[slot])
+            if slot != "e2":
+                break
+            M = math.prod(chosen.values())
+            a, b = _split_sides(d, M, t)
+            evidence = solve_generalized(a, b, 1)
+            if evidence is not None:
+                break
+            if d % 2 == 0 or (d * t) % 4 != 3:
+                raise InternalInvariantError(
+                    f"no solution of the predicted Pell equation for d={d}, t={t}, "
+                    f"M={M}; outside the half-form regime the construction is unsound"
+                )
+        else:
+            raise SearchExhaustedError(
+                f"no admissible e2 gave a solvable predicted Pell equation for "
+                f"d={d}, t={t} within {_MAX_E2_ATTEMPTS} attempts"
             )
-    if evidence is None:
-        raise SearchExhaustedError(
-            f"no admissible e2 gave a solvable predicted Pell equation for "
-            f"d={d}, t={t} within {_MAX_E2_ATTEMPTS} attempts"
-        )
+    # r - 1 primes m_i and e1, e2 are one prime more than d has: lambda(M) = -lambda(d)
     return MCertificate(
-        d=d,
-        d_primes=d_primes,
-        t=t,
-        s=s,
-        lambda_d=lambda_d,
-        lambda_m=lambda_m,
-        m_primes=m_primes,
-        e1=e1,
-        e2=e2,
-        M=M,
-        D=D,
-        predicted_form=predicted,
-        pell_evidence=evidence,
+        d=d, d_primes=d_primes, t=t, s=-t, lambda_d=lambda_d, lambda_m=-lambda_d,
+        m_primes=tuple(chosen[f"m{i}"] for i in range(1, r)), e1=chosen["e1"], e2=chosen["e2"],
+        M=M, D=d * M, predicted_form=QuadForm(a, 0, -b), pell_evidence=evidence,
     )
 
 

@@ -291,6 +291,17 @@ def symbol_targets(
     return tuple(targets)
 
 
+def slot_symbols(r: int, t: int) -> tuple[tuple[str, str, int], ...]:
+    """(top slot, bottom slot, want) of each symbol between the constructed primes.
+
+    construct_M searches against it and symbol_table checks it, in this order:
+    (m_i/e1) = (m_i/e2) = 1 and (m_i/m_j) = 1 for each j != i, then (e1/e2) = t, (e2/e1) = -1.
+    """
+    m_slots = [f"m{i}" for i in range(1, r)]
+    table = [(m, other, 1) for m in m_slots for other in ("e1", "e2", *m_slots) if other != m]
+    return (*table, ("e1", "e2", t), ("e2", "e1", -1))
+
+
 EXTRA_NONE = "none"
 EXTRA_DELTA = "delta"
 EXTRA_ETA = "eta"
@@ -510,7 +521,7 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
     primality_congruence checks are at least two distinct primes in canonical
     order with product d. That gate alone proves structure, and runs is_prime
     only once its cheap checks hold. Clauses, in order: primality and congruence
-    classes; the symbol table with its cross conditions; the symbol consequences,
+    classes; the symbol tables symbol_targets and slot_symbols; the consequences,
     derived from the gate and the table; the stored signs lambda_d and lambda_m;
     unit norm +1 for D, derived from the gate and pell_evidence; uniqueness of
     the predicted form among the split candidates in the principal genus
@@ -579,17 +590,10 @@ def verify_certificate(cert: MCertificate) -> VerificationReport:
                     f"({tgt.top}/{tgt.bottom_slot}={bottom}) = {actual}, "
                     f"want {tgt.target}{marker}"
                 )
-        for i, m_i in enumerate(cert.m_primes, start=1):
-            for label, e in (("e1", cert.e1), ("e2", cert.e2)):
-                if jacobi(m_i, e) != 1:
-                    problems.append(f"(m{i}/{label}) != 1")
-            for j, m_j in enumerate(cert.m_primes, start=1):
-                if i != j and jacobi(m_i, m_j) != 1:
-                    problems.append(f"(m{i}/m{j}) != 1")
-        if jacobi(cert.e1, cert.e2) != cert.t:
-            problems.append(f"(e1/e2) = {jacobi(cert.e1, cert.e2)}, want t = {cert.t}")
-        if jacobi(cert.e2, cert.e1) != -1:
-            problems.append(f"(e2/e1) = {jacobi(cert.e2, cert.e1)}, want -1")
+        for top, bottom, want in slot_symbols(len(cert.d_primes), cert.t):
+            actual = jacobi(slot_value[top], slot_value[bottom])
+            if actual != want:
+                problems.append(f"({top}/{bottom}) = {actual}, want {want}")
         return problems
 
     def clause_lambda() -> list[str]:

@@ -144,8 +144,10 @@ class WitnessPlan:
             return None
         from . import construct
 
+        # the primes of the core, odd ones ascending and then 2: d is not factored again
+        primes = sorted((p for p, e in self.factorization.factors if e % 2), key=lambda p: p == 2)
         try:
-            return build(construct, abs(self.core), self.cap)
+            return build(construct, abs(self.core), tuple(primes), self.cap)
         except SearchExhaustedError:
             return None
 
@@ -206,11 +208,12 @@ def plan(d: int, cap: int = DEFAULT_PRIME_SEARCH_CAP) -> WitnessPlan:
     return WitnessPlan(d, fact, core, scale, branch, cap)
 
 
-# branch -> builder of its certificate from (the construct module, |core|, cap)
+# branch -> builder of its certificate from (the construct module, |core|, its
+# primes in slot order, cap)
 _CERTIFICATE_BUILDERS = {
-    BRANCH_PRIME_MINUS_3MOD4: lambda c, d0, cap: c.construct_prime_pair(d0, cap),
-    BRANCH_COMPOSITE_CERT_PLUS: lambda c, d0, cap: c.construct_M(d0, 1, cap),
-    BRANCH_COMPOSITE_CERT_MINUS: lambda c, d0, cap: c.construct_M(d0, -1, cap),
+    BRANCH_PRIME_MINUS_3MOD4: lambda c, d0, primes, cap: c.construct_prime_pair(d0, cap),
+    BRANCH_COMPOSITE_CERT_PLUS: lambda c, d0, primes, cap: c._construct_M(d0, primes, 1, cap),
+    BRANCH_COMPOSITE_CERT_MINUS: lambda c, d0, primes, cap: c._construct_M(d0, primes, -1, cap),
 }
 
 

@@ -754,6 +754,20 @@ def test_verify_rejects_a_field_of_the_wrong_json_type(tmp_path, field, value):
     assert run.stderr.startswith("error: malformed certificate document: ")
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 200_000, b'{"kind": "m_certificate", "d": 1' + b"0" * 5_000 + b"}", b"\xff\xfe{}"],
+    ids=["nested-past-the-recursion-limit", "bare-number-past-the-int-to-str-limit", "not-utf-8"],
+)
+def test_verify_refuses_json_that_json_load_cannot_read(tmp_path, content):
+    path = tmp_path / "cert.json"
+    path.write_bytes(content)
+    run = _fresh_python("-m", "liouwit.cli", "verify", str(path))
+    assert run.returncode == EXIT_INVALID_INPUT, run.stderr
+    assert run.stderr.startswith(f"error: malformed JSON in {path}: ")
+    assert "Traceback" not in run.stderr
+
+
 def test_package_exports_its_table():
     # names bind on first access; submodules still import as attributes
     probe = (

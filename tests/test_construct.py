@@ -1,6 +1,9 @@
 """Unit tests for certificate construction and independent re-verification."""
 
+import hashlib
 import json
+import math
+import sys
 from dataclasses import replace
 from functools import cache
 
@@ -18,6 +21,7 @@ from liouwit import (
     SymbolTarget,
     construct_M,
     construct_prime_pair,
+    factorize,
     is_prime,
     jacobi,
     mod8_class,
@@ -29,7 +33,7 @@ from liouwit import (
     verify_prime_pair,
     with_checks,
 )
-from liouwit.verify import CERTIFICATE_KINDS, verify_document
+from liouwit.verify import CERTIFICATE_KINDS, slot_symbols, verify_document
 
 
 def test_ordered_prime_list():
@@ -380,6 +384,102 @@ def test_verify_certificate_tampered_symbols():
     assert "symbol_table" in report.failures
     details = {c.name: c.detail for c in report.clauses}
     assert details["consequences"] == "depends on symbol_table"
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_slot_symbols_are_the_cross_checks_in_order(r):
+    # each m_i against e1, e2 and every other m_j, then e1 and e2 both ways
+    for t in (1, -1) if r % 2 == 0 else (-1,):
+        expected = []
+        for i in range(1, r):
+            expected += [(f"m{i}", "e1", 1), (f"m{i}", "e2", 1)]
+            expected += [(f"m{i}", f"m{j}", 1) for j in range(1, r) if j != i]
+        expected += [("e1", "e2", t), ("e2", "e1", -1)]
+        assert slot_symbols(r, t) == tuple(expected)
+    assert slot_symbols(3, -1) == (
+        ("m1", "e1", 1), ("m1", "e2", 1), ("m1", "m2", 1),
+        ("m2", "e1", 1), ("m2", "e2", 1), ("m2", "m1", 1),
+        ("e1", "e2", -1), ("e2", "e1", -1),
+    )
+
+
+# (d, t, slot) -> the symbol_table detail once that slot's prime is the next
+# unused prime of its class mod 8; some break only symbols between slots
+FORGED_SLOT_DETAILS = {
+    (6, 1, "m1"): "(3/m1=13) = 1, want -1; (m1/e1) = -1, want 1; (m1/e2) = -1, want 1",
+    (6, 1, "e1"): "(3/e1=47) = 1, want -1; (m1/e1) = -1, want 1",
+    (6, 1, "e2"): "(3/e2=19) = -1, want 1; (e1/e2) = -1, want 1; (e2/e1) = 1, want -1",
+    (6, -1, "m1"): "(3/m1=13) = 1, want -1; (m1/e1) = -1, want 1; (m1/e2) = -1, want 1",
+    (6, -1, "e1"): "(3/e1=79) = -1, want 1",
+    (6, -1, "e2"): "(3/e2=157) = 1, want -1; (m1/e2) = -1, want 1; (e1/e2) = 1, want -1; "
+                   "(e2/e1) = 1, want -1",
+    (15, 1, "m1"): "(3/m1=61) = 1, want -1; (5/m1=61) = 1, want -1",
+    (15, 1, "e1"): "(5/e1=223) = -1, want 1",
+    (15, 1, "e2"): "(3/e2=2083) = -1, want 1",
+    (15, -1, "m1"): "(3/m1=61) = 1, want -1; (5/m1=61) = 1, want -1; (m1/e1) = -1, want 1",
+    (15, -1, "e1"): "(m1/e1) = -1, want 1",
+    (15, -1, "e2"): "(e1/e2) = 1, want -1; (e2/e1) = 1, want -1",
+    (30, -1, "m1"): "(5/m1=41) = 1, want -1; (m1/m2) = -1, want 1; (m2/m1) = -1, want 1",
+    (30, -1, "m2"): "(3/m2=109) = 1, want -1; (m1/m2) = -1, want 1; (m2/e2) = -1, want 1; "
+                    "(m2/m1) = -1, want 1",
+    (30, -1, "e1"): "(3/e1=239) = 1, want -1; (5/e1=239) = 1, want -1",
+    (30, -1, "e2"): "(5/e2=2213) = -1, want 1; (m1/e2) = -1, want 1",
+}
+
+
+@pytest.mark.parametrize("d,t,slot", sorted(FORGED_SLOT_DETAILS), ids=str)
+def test_verify_certificate_names_the_symbols_a_forged_slot_breaks(d, t, slot):
+    # the forged document is consistent (M, D, the predicted form), so the gate
+    # passes and only the symbols fail
+    cert = construct_M(d, t)
+    slots = cert.slots
+    used = set(cert.d_primes) | set(slots.values())
+    q = slots[slot] + 8
+    while q in used or not is_prime(q):
+        q += 8
+    slots[slot] = q
+    M = math.prod(slots.values())
+    a, b = (M, d) if t == 1 else (d, M)
+    forged = replace(
+        cert,
+        m_primes=tuple(slots[f"m{i}"] for i in range(1, len(cert.d_primes))),
+        e1=slots["e1"],
+        e2=slots["e2"],
+        M=M,
+        D=d * M,
+        predicted_form=QuadForm(a, 0, -b),
+    )
+    details = {c.name: c.detail for c in verify_certificate(forged).clauses if not c.passed}
+    assert "primality_congruence" not in details
+    assert details["symbol_table"] == FORGED_SLOT_DETAILS[d, t, slot]
+
+
+def _certify_range_documents():
+    """Every M certificate of square-free composite 6 <= d <= 340 for each admissible t,
+    then every prime pair for p = 3 mod 4 below 340."""
+    docs = []
+    for d in range(6, 341):
+        exponents = [e for _, e in factorize(d).factors]
+        if len(exponents) < 2 or max(exponents) > 1:
+            continue
+        for t in (-1, 1) if len(exponents) % 2 == 0 else (-1,):
+            docs.append(construct_M(d, t).to_json_dict())
+    docs += [construct_prime_pair(p).to_json_dict() for p in range(3, 340, 4) if is_prime(p)]
+    return docs
+
+
+def test_certify_range_certificates_are_pinned():
+    # certificate contents, byte for byte; d = 330, t = -1 carries integers
+    # past the int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        docs = _certify_range_documents()
+        digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(docs) == 278
+    assert digest == "bd6bbcd26a9253ea51370e2e9475d9f681348a879afc1f523c07c863ade1a650"
 
 
 def test_with_checks():

@@ -523,6 +523,14 @@ def test_plan_and_stream_factor_d_once(monkeypatch):
     calls.clear()
     assert [w.provenance for w in plus_witnesses(d, 1)] == ["direct_pell"]
     assert calls.count(d) == 1
+    # the minus request builds the plan's certificate from the primes of the
+    # plan's factorization; the construction is out of reach, so the scan answers
+    for signed, branch in ((d, BRANCH_COMPOSITE_CERT_PLUS), (-d, BRANCH_COMPOSITE_CERT_MINUS)):
+        plan.cache_clear()
+        calls.clear()
+        assert [w.provenance for w in minus_witnesses(signed, 1)] == ["brute"]
+        assert calls.count(d) + calls.count(-d) == 1
+        assert plan(signed).branch == branch
 
 
 def test_brute_scan_reads_the_plans_factorization_at_zero(monkeypatch):
